@@ -1,12 +1,13 @@
 //! Load-aware rebalancing: what live migration costs and what it buys.
 //!
-//! Three measurements over the directory-routed sharded core:
+//! Three measurements over the broker's live migration:
 //!
-//! * `migration_cost` — a full resize cycle (`S → 2S`, rebalance onto
-//!   the new shards, drain back to `S`) on a loaded engine. Throughput
-//!   is reported in migrated subscriptions per second — the price of
-//!   moving one subscription is one target-shard re-subscribe, one
-//!   source-shard unsubscribe and a directory repoint.
+//! * `migration_cost` — a full live resize cycle (`S → 2S`, rebalance
+//!   onto the new shards, drain back to `S`) on a loaded broker.
+//!   Throughput is reported in migrated subscriptions per second — the
+//!   price of moving one subscription is one target-shard
+//!   re-subscribe, one source-shard unsubscribe and a directory
+//!   repoint, under the pair's shard write locks.
 //! * `publish_skew` — broker publish latency with the same live
 //!   subscription count concentrated on few shards (skewed by draining
 //!   churn) vs spread evenly after `rebalance()`. On a multi-core host
@@ -14,7 +15,7 @@
 //!   rebalanced rows should win; on a single core both do the same
 //!   total work and only the fan-out overhead differs — the usual
 //!   single-core caveat applies.
-//! * `scenario_replay` — end-to-end ops/sec of a sharded engine
+//! * `scenario_replay` — end-to-end ops/sec of a sharded broker
 //!   consuming a `RebalanceScenario` stream (churn + rebalance + resize
 //!   marks), the sustained-operations view of the whole feature.
 //!
@@ -25,42 +26,40 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use boolmatch_broker::{Broker, DeliveryPolicy, Subscription};
-use boolmatch_core::{EngineKind, FilterEngine, Matcher, ShardedEngine};
+use boolmatch_core::EngineKind;
 use boolmatch_types::Event;
 use boolmatch_workload::scenarios::{ChurnOp, RebalanceOp, RebalanceScenario, StockScenario};
 
 const SUBSCRIPTIONS: usize = 10_000;
 
-fn loaded_engine(shards: usize, subscriptions: usize) -> ShardedEngine {
-    let mut engine = ShardedEngine::new(EngineKind::NonCanonical, shards);
-    let mut scenario = StockScenario::new(2_005);
-    for expr in scenario.subscriptions(subscriptions) {
-        engine.subscribe(&expr).expect("accepted");
-    }
-    engine
+fn bench_broker(shards: usize) -> Broker {
+    Broker::builder()
+        .engine(EngineKind::NonCanonical)
+        .shards(shards)
+        .delivery(DeliveryPolicy::DropNewest { capacity: 4 })
+        .build()
 }
 
 fn migration_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("rebalance/migration_cost");
     for shards in [2usize, 4, 8] {
-        let mut engine = loaded_engine(shards, SUBSCRIPTIONS);
+        let broker = bench_broker(shards);
+        let mut scenario = StockScenario::new(2_005);
+        // The handles must stay alive: dropping one unsubscribes it.
+        let _subs: Vec<Subscription> = scenario
+            .subscriptions(SUBSCRIPTIONS)
+            .iter()
+            .map(|e| broker.subscribe_expr(e).expect("accepted"))
+            .collect();
+        let cycle = || broker.resize(shards * 2) + broker.rebalance() + broker.resize(shards);
         // One calibration cycle to learn how many subscriptions a
         // cycle migrates (constant thereafter: the schedule is
         // deterministic).
-        let moved_out = engine.resize(shards * 2) + engine.rebalance();
-        let moved_back = engine.resize(shards);
-        group.throughput(Throughput::Elements((moved_out + moved_back) as u64));
+        group.throughput(Throughput::Elements(cycle() as u64));
         group.bench_with_input(
             BenchmarkId::new("resize_cycle", format!("s{shards}")),
             &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let mut moved = engine.resize(shards * 2);
-                    moved += engine.rebalance();
-                    moved += engine.resize(shards);
-                    moved
-                });
-            },
+            |b, _| b.iter(cycle),
         );
     }
     group.finish();
@@ -133,29 +132,27 @@ fn scenario_replay(c: &mut Criterion) {
             BenchmarkId::new("ops256", format!("s{shards}")),
             &shards,
             |b, &shards| {
-                let mut matcher =
-                    Matcher::new(ShardedEngine::new(EngineKind::NonCanonical, shards));
+                let broker = bench_broker(shards);
                 let mut scenario = RebalanceScenario::new(7, 2_000, shards);
-                let mut live: Vec<boolmatch_core::SubscriptionId> = Vec::new();
+                let mut live: Vec<Subscription> = Vec::new();
                 b.iter(|| {
                     let mut delivered = 0usize;
                     for op in scenario.ops(256) {
                         match op {
                             RebalanceOp::Churn(ChurnOp::Subscribe(expr)) => {
-                                live.push(matcher.subscribe(&expr).expect("accepted"));
+                                live.push(broker.subscribe_expr(&expr).expect("accepted"));
                             }
                             RebalanceOp::Churn(ChurnOp::Unsubscribe(i)) => {
-                                let id = live.remove(i);
-                                matcher.unsubscribe(id).expect("live");
+                                drop(live.remove(i));
                             }
                             RebalanceOp::Churn(ChurnOp::Publish(event)) => {
-                                delivered += matcher.match_event_into(&event).matched;
+                                delivered += broker.publish(event);
                             }
                             RebalanceOp::Rebalance => {
-                                matcher.rebalance();
+                                broker.rebalance();
                             }
                             RebalanceOp::Resize(n) => {
-                                matcher.resize(n);
+                                broker.resize(n);
                             }
                         }
                     }

@@ -27,9 +27,10 @@ use std::time::Instant;
 use boolmatch_bench::Args;
 use boolmatch_broker::{Broker, DeliveryPolicy, Subscription};
 use boolmatch_core::{
-    BatchScratch, EngineKind, FilterEngine, MatchScratch, PlacementPolicy, ScratchPool,
-    ShardTranslation, ShardedEngine, SubscriptionId,
+    BatchScratch, EngineKind, FilterEngine, MatchScratch, PlacementPolicy, Shard, ShardedEngine,
+    SubscriptionId,
 };
+use boolmatch_expr::Expr;
 use boolmatch_types::Event;
 use boolmatch_workload::scenarios::{
     HotKeyScenario, SelectiveScenario, StockScenario, ThroughputScenario,
@@ -147,7 +148,7 @@ fn main() {
         );
     }
 
-    // --- Sharded engine: sequential walk vs scoped parallel fan-out ---
+    // --- Sharded engine: the sequential shard walk ---
     {
         let shards = 4;
         let mut engine = ShardedEngine::new(EngineKind::NonCanonical, shards);
@@ -155,7 +156,6 @@ fn main() {
         for expr in scenario.subscriptions(corpus) {
             engine.subscribe(&expr).expect("accepted");
         }
-        let scratches = ScratchPool::new(shards);
         let mut scratch = MatchScratch::new();
         let mut at = 0usize;
         record(
@@ -166,16 +166,6 @@ fn main() {
             || {
                 at = (at + 1) % events.len();
                 engine.match_event_into(&events[at], &mut scratch);
-            },
-        );
-        record(
-            &mut results,
-            format!("sharded_engine/s{shards}/parallel_scoped/{corpus}"),
-            samples,
-            ops.min(200), // scoped spawn per op: keep the sample cheap
-            || {
-                at = (at + 1) % events.len();
-                engine.match_event_parallel(&events[at], &scratches, &mut scratch);
             },
         );
     }
@@ -309,30 +299,22 @@ fn main() {
 
     // --- Rebalancing: migration cost and the publish paths around it ---
     {
-        // A resize cycle (grow to 2S, spread, drain back to S) on a
-        // loaded engine; the recorded figure is ns per *migrated
-        // subscription*, the unit price of live migration.
+        // A live resize cycle (grow to 2S, spread, drain back to S) on
+        // a loaded broker — the migration that runs in production; the
+        // recorded figure is ns per *migrated subscription*, the unit
+        // price of live migration.
         let shards = 4;
         let corpus = if quick { 2_000 } else { 10_000 };
-        let mut engine = ShardedEngine::new(EngineKind::NonCanonical, shards);
-        let mut scenario = StockScenario::new(2_005);
-        for expr in scenario.subscriptions(corpus) {
-            engine.subscribe(&expr).expect("accepted");
-        }
+        let (broker, _receivers) = stock_broker(shards, corpus, false);
+        let cycle = || broker.resize(shards * 2) + broker.rebalance() + broker.resize(shards);
         // Warm-up cycle, which also calibrates how many subscriptions
         // one cycle migrates (deterministic thereafter).
-        let per_cycle = {
-            let mut moved = engine.resize(shards * 2);
-            moved += engine.rebalance();
-            moved + engine.resize(shards)
-        };
+        let per_cycle = cycle();
         let cycles = if quick { 3 } else { 7 };
         let mut per_move: Vec<f64> = (0..cycles)
             .map(|_| {
                 let start = Instant::now();
-                let mut moved = engine.resize(shards * 2);
-                moved += engine.rebalance();
-                moved += engine.resize(shards);
+                let moved = cycle();
                 start.elapsed().as_nanos() as f64 / moved.max(1) as f64
             })
             .collect();
@@ -356,13 +338,14 @@ fn main() {
         // set, exactly what each publish pays per shard under the shard
         // lock it already holds.
         let residents = if quick { 20_000 } else { 100_000 };
-        let mut translation = ShardTranslation::new();
-        for local in 0..residents {
-            translation.set(
-                SubscriptionId::from_index(local),
-                SubscriptionId::from_index(local * 4),
-            );
+        let mut shard = Shard::new(EngineKind::NonCanonical.build());
+        let expr = Expr::parse("a = 1").expect("valid");
+        for _ in 0..residents {
+            shard
+                .subscribe(&expr, |local| SubscriptionId::from_index(local.index() * 4))
+                .expect("accepted");
         }
+        let translation = shard.translation();
         let matched: Vec<SubscriptionId> = (0..64)
             .map(|i| SubscriptionId::from_index(i * (residents / 64)))
             .collect();
@@ -432,32 +415,27 @@ fn main() {
         );
     }
 
-    // --- Content-aware pruning: publish cost with and without shard
-    // pruning, on a prunable and an unprunable population ---
+    // --- Content-aware pruning: publish cost on a prunable and an
+    // unprunable population ---
     {
         // Selective workload, one group attribute per event, clustered
         // placement with groups == shards: each event has candidates on
-        // (at most) one shard. The four rows form the PR's A/B grid:
-        // `selective/*` bounds the pruning win on a partitionable
-        // population; `unprunable/*` (the or-rooted twin, which the
-        // conservative synopsis must keep always-candidate) bounds the
-        // overhead of consulting synopses that never fire.
+        // (at most) one shard. `selective/*` measures publishing when
+        // pruning skips all but one shard; `unprunable/*` (the
+        // or-rooted twin, which the conservative synopsis must keep
+        // always-candidate) measures it when the synopses never fire.
+        // Pruning is always on, so its effect is an A/B against a
+        // baseline build.
         let shards = 8;
         let subs = if quick { 800 } else { 4_000 };
-        let configs = [
-            ("selective/pruned", true, true),
-            ("selective/unpruned", true, false),
-            ("unprunable/pruned", false, true),
-            ("unprunable/unpruned", false, false),
-        ];
+        let configs = [("selective/pruned", true), ("unprunable/pruned", false)];
         let setups: Vec<(Broker, Vec<Subscription>, Vec<Event>)> = configs
             .iter()
-            .map(|&(_, prunable, pruning)| {
+            .map(|&(_, prunable)| {
                 let broker = Broker::builder()
                     .engine(EngineKind::NonCanonical)
                     .shards(shards)
                     .placement(PlacementPolicy::ClusterByAttribute)
-                    .shard_pruning(pruning)
                     .delivery(DeliveryPolicy::DropNewest { capacity: 4 })
                     .build();
                 let mut scenario = if prunable {
@@ -473,14 +451,11 @@ fn main() {
                 (broker, receivers, scenario.events(64))
             })
             .collect();
-        // The rows in each A/B pair are a few percent apart, which is
-        // under this host's sequential drift (allocator state, CPU
-        // clock) — so sample the four configurations round-robin
-        // *within* each round instead of one full row after another,
-        // and the drift cancels out of the comparison.
+        // Sampled round-robin within each round, so sequential host
+        // drift (allocator state, CPU clock) hits both rows alike.
         let ops_here = ops.min(200);
-        let mut at = [0usize; 4];
-        let mut batches: Vec<Vec<f64>> = (0..4).map(|_| Vec::with_capacity(samples)).collect();
+        let mut at = [0usize; 2];
+        let mut batches: Vec<Vec<f64>> = (0..2).map(|_| Vec::with_capacity(samples)).collect();
         for round in 0..=samples {
             for (i, (broker, _receivers, group_events)) in setups.iter().enumerate() {
                 let start = Instant::now();
@@ -494,7 +469,7 @@ fn main() {
                 }
             }
         }
-        for (i, &(row, _, _)) in configs.iter().enumerate() {
+        for (i, &(row, _)) in configs.iter().enumerate() {
             batches[i].sort_by(f64::total_cmp);
             let median = batches[i][batches[i].len() / 2];
             let name = format!("prune/{row}/s{shards}/{subs}");

@@ -10,10 +10,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use boolmatch_core::{
-    attribute_hash, dominant_eq_attr, lock_classes, BatchScratch, BatchScratchPool, BoxedEngine,
-    EngineKind, FanOut, FanOutPool, FilterEngine, MatchScratch, MatchStats, MemoryUsage,
-    PlacementPolicy, ScratchLease, ScratchPool, ShardSynopsis, ShardTranslation, SubscribeError,
-    SubscriptionDirectory, SubscriptionId, WorkerPool,
+    lock_classes, BatchScratch, BatchScratchLease, BatchScratchPool, BoxedEngine, EngineKind,
+    FanOut, FanOutPool, MatchScratch, MatchStats, MemoryUsage, PlacementPolicy, ScratchLease,
+    ScratchPool, Shard, SubscribeError, SubscriptionDirectory, SubscriptionId, WorkerPool,
 };
 use boolmatch_expr::{Expr, ParseError};
 use boolmatch_types::Event;
@@ -252,14 +251,17 @@ enum MigrateMode {
     Drain,
 }
 
-/// One engine shard: the engine plus its local → global translation
-/// map behind a single lock, and the lock-free match counter the
-/// frequency-weighted rebalancer reads. Cells are shared by `Arc`
-/// across resize epochs, so a surviving shard keeps its lock, its
-/// translation map and its counters when the shard set around it
-/// changes.
+/// One engine shard — a core [`Shard`] (engine, translation map,
+/// synopsis) behind a single lock — plus the lock-free match counter
+/// the frequency-weighted rebalancer reads. The shard's translation
+/// and synopsis are written only under the write lock (subscribe,
+/// unsubscribe, migration) and read under the read lock publishes
+/// already hold for matching, so pruning and translation never touch
+/// broker-global state. Cells are shared by `Arc` across resize epochs,
+/// so a surviving shard keeps its lock, its state and its counters when
+/// the shard set around it changes.
 struct ShardCell {
-    state: RwLock<ShardState>,
+    state: RwLock<Shard>,
     /// Matches this shard has contributed across its lifetime
     /// (`MatchStats::matched` summed over publishes), maintained with
     /// relaxed atomics on the publish path — no lock, no shared-state
@@ -271,21 +273,6 @@ struct ShardCell {
     pruned: AtomicU64,
 }
 
-struct ShardState {
-    engine: BoxedEngine,
-    /// Read-side local → global map, updated only by operations already
-    /// holding this shard's write lock (subscribe, unsubscribe,
-    /// migration) and read under the read lock publishes already hold
-    /// for matching — translation never touches broker-global state.
-    translation: ShardTranslation,
-    /// Conservative per-attribute summary of this shard's residents,
-    /// maintained under the same write lock as `translation` (subscribe,
-    /// unsubscribe, migration) and consulted under the read lock
-    /// publishes already hold — the content-aware prune check never
-    /// touches broker-global state either.
-    synopsis: ShardSynopsis,
-}
-
 impl ShardCell {
     /// `index` is the cell's position in the shard set at creation,
     /// naming its lockdep class (`shard[index]`): multiple shard locks
@@ -293,11 +280,7 @@ impl ShardCell {
     /// cell keeps its class across resize epochs — its index never
     /// changes while it is live (grows append, shrinks drop a suffix).
     fn new(engine: BoxedEngine, index: usize) -> Self {
-        let state = RwLock::new(ShardState {
-            engine,
-            translation: ShardTranslation::new(),
-            synopsis: ShardSynopsis::new(),
-        });
+        let state = RwLock::new(Shard::new(engine));
         state.set_class(&lock_classes::shard(index));
         ShardCell {
             state,
@@ -306,22 +289,17 @@ impl ShardCell {
         }
     }
 
-    fn record_hits(&self, stats: &MatchStats) {
+    /// Folds one match's stats into the lock-free counters.
+    fn record(&self, stats: &MatchStats) {
         if stats.matched > 0 {
             self.hits.fetch_add(stats.matched as u64, Ordering::Relaxed);
         }
-    }
-
-    fn record_prunes(&self, n: u64) {
-        if n > 0 {
-            self.pruned.fetch_add(n, Ordering::Relaxed);
+        if stats.shards_pruned > 0 {
+            self.pruned
+                .fetch_add(stats.shards_pruned as u64, Ordering::Relaxed);
         }
     }
 }
-
-/// Per-worker flat matches + per-event end offsets, one per shard per
-/// batch (event `e`'s ids are `flat[ends[e-1]..ends[e]]`).
-type ShardMatches = (Vec<SubscriptionId>, Vec<usize>);
 
 /// The parallel publish machinery, present only on multi-shard shard
 /// sets: a persistent worker pool (threads park between publishes — no
@@ -334,8 +312,11 @@ struct Fanout {
     pool: Arc<WorkerPool>,
     scratches: Arc<ScratchPool>,
     batch_scratches: Arc<BatchScratchPool>,
-    publish_rendezvous: Arc<FanOutPool<ScratchLease>>,
-    batch_rendezvous: Arc<FanOutPool<ShardMatches>>,
+    /// Each slot carries its shard's translated matches in the worker's
+    /// scratch lease — `None` inside the slot for a pruned shard, which
+    /// leases nothing.
+    publish_rendezvous: Arc<FanOutPool<Option<ScratchLease>>>,
+    batch_rendezvous: Arc<FanOutPool<Option<BatchScratchLease>>>,
 }
 
 impl Fanout {
@@ -505,9 +486,6 @@ pub(crate) struct BrokerInner {
     /// Where new subscriptions land (see
     /// [`BrokerBuilder::placement`]).
     placement: PlacementPolicy,
-    /// Whether the publish paths consult shard synopses to skip
-    /// zero-candidate shards (see [`BrokerBuilder::shard_pruning`]).
-    prune: bool,
     /// The background rebalance thread, when configured.
     rebalancer: Mutex<Option<BackgroundHandle>>,
 }
@@ -574,19 +552,12 @@ impl BrokerInner {
             // with it, so there is nothing left to unsubscribe.
             let set = self.shard_set();
             if let Some(cell) = set.shards.get(shard) {
-                let mut state = cell.state.write();
-                // `clear_if` is the stale-cell guard: only if this
-                // local slot still belongs to *our* global id do we
-                // touch the engine (a drain may have completed the
-                // removal on our behalf, or — across a shrink+grow — a
-                // fresh shard may live at this index).
-                if state.translation.clear_if(local, id) {
-                    state
-                        .engine
-                        .unsubscribe(local)
-                        .expect("translation and shard engine are kept in sync");
-                    state.synopsis.remove(local);
-                }
+                // `retire` is the stale-cell guard: only if this local
+                // slot still belongs to *our* global id does it touch
+                // the engine (a drain may have completed the removal on
+                // our behalf, or — across a shrink+grow — a fresh shard
+                // may live at this index).
+                cell.state.write().retire(local, id);
             }
             self.stats
                 .subscriptions_removed
@@ -726,21 +697,11 @@ impl Broker {
         // guarantees a placement on a freshly grown shard only happens
         // once the grown set is visible, and a shrink restricts
         // placement before any dying cell leaves the set.
-        let shard = {
-            let mut directory = self.inner.directory.write();
-            match self.inner.placement {
-                PlacementPolicy::LeastLoaded => directory.place(),
-                // Clustered: route to the shard the subscription's
-                // dominant equality attribute hashes to (load-capped;
-                // the directory falls back to least-loaded when the
-                // cluster target is overloaded), so shard synopses
-                // become selective and pruning actually bites.
-                PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(expr) {
-                    Some(attr) => directory.place_clustered(attribute_hash(attr)),
-                    None => directory.place(),
-                },
-            }
-        };
+        let shard = self
+            .inner
+            .directory
+            .write()
+            .place_for(self.inner.placement, expr);
         let set = self.shard_set();
         let cell = &set.shards[shard];
         // The expression is stored for every broker — including
@@ -752,18 +713,17 @@ impl Broker {
         // shard are stalled.
         let stored = Arc::new(expr.clone());
         let mut state = cell.state.write();
-        let local = match state.engine.subscribe(expr) {
-            Ok(local) => local,
+        let registered = state.subscribe(expr, |local| {
+            self.inner.directory.write().commit(shard, local, stored)
+        });
+        drop(state);
+        let id = match registered {
+            Ok(id) => id,
             Err(e) => {
-                drop(state);
                 self.inner.directory.write().cancel(shard);
                 return Err(e.into());
             }
         };
-        let id = self.inner.directory.write().commit(shard, local, stored);
-        state.translation.set(local, id);
-        state.synopsis.insert(local, expr);
-        drop(state);
         // The queue's lock is classed by the id's delivery-queue group
         // (same-class nesting detection proves no path holds two).
         let queue = Arc::new(NotifyQueue::new(id.index(), policy, consumer));
@@ -838,7 +798,6 @@ impl Broker {
             }
             moved += step;
         }
-        self.note_migrated(moved);
         moved
     }
 
@@ -924,17 +883,7 @@ impl Broker {
             let mut window = self.inner.freq_baseline.lock();
             window.scores.iter_mut().for_each(|s| *s = 0);
         }
-        self.note_migrated(moved);
         moved
-    }
-
-    fn note_migrated(&self, moved: usize) {
-        if moved > 0 {
-            self.inner
-                .stats
-                .subscriptions_migrated
-                .fetch_add(moved as u64, Ordering::Relaxed);
-        }
     }
 
     /// One migration batch between a fixed shard pair, bounded by
@@ -980,7 +929,7 @@ impl Broker {
             // map (we hold its write lock, so the map cannot move under
             // us); the directory is then consulted for the stored
             // expression and to confirm the entry is still live.
-            let Some((global, local)) = from_state.translation.last_resident() else {
+            let Some((global, local)) = from_state.translation().last_resident() else {
                 break;
             };
             let expr = {
@@ -997,37 +946,15 @@ impl Broker {
                         // directory-first and is now parked on this
                         // shard's write lock (which we hold). Complete
                         // the shard-side removal on its behalf; its own
-                        // `clear_if` then finds the slot gone and
-                        // skips. Not a migration — re-plan.
-                        let cleared = from_state.translation.clear_if(local, global);
-                        debug_assert!(cleared);
-                        from_state
-                            .engine
-                            .unsubscribe(local)
-                            .expect("translation and shard engine are kept in sync");
-                        // Slot-keyed removal: the directory entry is
-                        // already retired, so no expression is
-                        // available here — the synopsis undoes exactly
-                        // what it indexed for this slot.
-                        from_state.synopsis.remove(local);
+                        // `retire` then finds the slot gone and skips.
+                        // Not a migration — re-plan.
+                        let retired = from_state.retire(local, global);
+                        debug_assert!(retired);
                         continue;
                     }
                 }
             };
-            let Ok(new_local) = to_state.engine.subscribe(&expr) else {
-                // A heterogeneous target refused the expression. For
-                // balancing that just means the subscription stays put
-                // — but a drain has nowhere else to leave it, and
-                // silently retrying would spin forever on the same
-                // refusal: honour `resize`'s documented panic instead
-                // (matching `ShardedEngine::resize`).
-                assert!(
-                    mode != MigrateMode::Drain,
-                    "a surviving shard refused a drained subscription"
-                );
-                break;
-            };
-            let relocated = {
+            let relocated = from_state.move_to(&mut to_state, global, local, &expr, |new_local| {
                 let mut directory = self.inner.directory.write();
                 let relocated = directory.relocate(global, from, local, to, new_local);
                 if relocated {
@@ -1037,30 +964,36 @@ impl Broker {
                     // observe the bumped epoch on its post-match check
                     // and dedup; a failed relocate changed no mapping,
                     // so it bumps nothing and forces no spurious sorts.
+                    // The migration counter moves in the same section,
+                    // so it never lags the loads a reader sees.
                     self.inner.migration_epoch.fetch_add(1, Ordering::Release);
+                    self.inner
+                        .stats
+                        .subscriptions_migrated
+                        .fetch_add(1, Ordering::Relaxed);
                 }
                 relocated
-            };
-            if relocated {
-                from_state
-                    .engine
-                    .unsubscribe(local)
-                    .expect("directory and shard engines are kept in sync");
-                let cleared = from_state.translation.clear_if(local, global);
-                debug_assert!(cleared, "relocated entries were resident");
-                from_state.synopsis.remove(local);
-                to_state.translation.set(new_local, global);
-                to_state.synopsis.insert(new_local, &expr);
-                moved += 1;
-            } else {
+            });
+            match relocated {
+                Ok(true) => moved += 1,
                 // The victim was retired between planning and commit;
-                // undo the target-side copy and re-plan (the next
-                // iteration's placement check completes the
+                // `move_to` undid the target-side copy. Re-plan (the
+                // next iteration's placement check completes the
                 // source-side removal).
-                to_state
-                    .engine
-                    .unsubscribe(new_local)
-                    .expect("the fresh target copy is removable");
+                Ok(false) => {}
+                Err(_) => {
+                    // A heterogeneous target refused the expression.
+                    // For balancing that just means the subscription
+                    // stays put — but a drain has nowhere else to leave
+                    // it, and silently retrying would spin forever on
+                    // the same refusal: honour `resize`'s documented
+                    // panic instead.
+                    assert!(
+                        mode != MigrateMode::Drain,
+                        "a surviving shard refused a drained subscription"
+                    );
+                    break;
+                }
             }
         }
         moved
@@ -1133,7 +1066,7 @@ impl Broker {
                     let drained = {
                         let directory = self.inner.directory.read();
                         directory.load(dying) == 0
-                    } && old_set.shards[dying].state.read().translation.is_empty();
+                    } && old_set.shards[dying].state.read().translation().is_empty();
                     if drained {
                         break;
                     }
@@ -1166,7 +1099,6 @@ impl Broker {
         }
         // Frequency ticks must not compare counters across shard sets.
         self.inner.freq_baseline.lock().clear();
-        self.note_migrated(moved);
         moved
     }
     // lint: end-lock-order
@@ -1357,12 +1289,13 @@ impl Broker {
     /// Matches `event` against every shard (read lock each, one at a
     /// time) and appends the matched **global** ids to `out`.
     ///
-    /// Translation goes through the shard's own map *under the shard's
-    /// read lock*: migration commits a relocation only while holding
-    /// that shard's write lock, so the mapping of a just-matched local
-    /// id cannot be repointed before it is read here. A `None`
-    /// translation means a racing unsubscribe retired the id — it is
-    /// dropped, exactly as delivery would drop its removed sender.
+    /// Pruning and translation go through the shard's own synopsis and
+    /// map *under the shard's read lock*: migration commits a relocation
+    /// only while holding that shard's write lock, so the mapping of a
+    /// just-matched local id cannot be repointed before it is read
+    /// here. A missing translation means a racing unsubscribe retired
+    /// the id — it is dropped, exactly as delivery would drop its
+    /// removed sender.
     fn match_into(
         &self,
         set: &ShardSet,
@@ -1370,26 +1303,24 @@ impl Broker {
         scratch: &mut MatchScratch,
         out: &mut Vec<SubscriptionId>,
     ) {
-        let prune = self.inner.prune;
         for cell in &set.shards {
-            let state = cell.state.read();
-            // Content-aware pruning: a shard whose synopsis proves zero
-            // candidates for this event is skipped before any matching
-            // work — same shard read lock, no extra locking. The
-            // synopsis is conservative, so the matched set is identical
-            // to the unpruned walk.
-            if prune && !state.synopsis.admits(event) {
-                cell.record_prunes(1);
-                continue;
-            }
-            let stats = state.engine.match_event_into(event, scratch);
-            cell.record_hits(&stats);
-            out.extend(
-                scratch
-                    .matched()
-                    .iter()
-                    .filter_map(|&l| state.translation.global_of(l)),
-            );
+            Self::match_shard_into(cell, event, scratch, out);
+        }
+    }
+
+    /// One shard's part of a publish, matched on the calling thread
+    /// into the thread-local `scratch`; the translated ids are appended
+    /// to `out`.
+    fn match_shard_into(
+        cell: &ShardCell,
+        event: &Event,
+        scratch: &mut MatchScratch,
+        out: &mut Vec<SubscriptionId>,
+    ) {
+        let (stats, matched) = cell.state.read().match_event(event, |_| scratch);
+        cell.record(&stats);
+        if let Some(matched) = matched {
+            out.extend_from_slice(matched.matched());
         }
     }
 
@@ -1481,11 +1412,12 @@ impl Broker {
     /// matched **global** ids to `out`, in shard order — the same
     /// sequence [`Broker::match_into`]'s sequential walk produces.
     ///
-    /// Each worker takes its shard's read lock, matches into a warm
-    /// [`MatchScratch`] leased from the scratch pool (checkout hygiene
-    /// — reset + capacity — happens once per lease), translates the
-    /// shard-local ids to global ids in place through the shard's own
-    /// map, releases the lock, and parks the lease in its [`FanOut`]
+    /// Each worker takes its shard's read lock and, unless the synopsis
+    /// prunes the shard, matches into a warm [`MatchScratch`] leased
+    /// from the scratch pool (checkout hygiene — reset + capacity —
+    /// happens once per lease) and translates the shard-local ids to
+    /// global ids in place through the shard's own map; it releases the
+    /// lock and parks the lease (`None` when pruned) in its [`FanOut`]
     /// slot. The rendezvous itself is leased from a [`FanOutPool`] —
     /// the steady-state parallel publish allocates neither scratches
     /// nor the rendezvous. The caller matches shard 0 itself with the
@@ -1505,56 +1437,33 @@ impl Broker {
         out: &mut Vec<SubscriptionId>,
     ) {
         let shards = set.shards.len();
-        let prune = self.inner.prune;
-        let run: Arc<FanOut<ScratchLease>> = fan.publish_rendezvous.checkout(shards - 1);
+        let run: Arc<FanOut<Option<ScratchLease>>> = fan.publish_rendezvous.checkout(shards - 1);
         for s in 1..shards {
             let slot = run.slot(s - 1);
             let cell = Arc::clone(&set.shards[s]);
             let scratches = Arc::clone(&fan.scratches);
             let event = Arc::clone(event);
             fan.pool.submit(move || {
-                let lease = {
-                    let state = cell.state.read();
-                    let mut lease = scratches.lease(&*state.engine);
-                    // Pruned shards park their fresh (empty) lease
-                    // without matching — the merge sees no ids, exactly
-                    // like the sequential walk's `continue`.
-                    if !prune || state.synopsis.admits(&event) {
-                        let stats = state.engine.match_event_into(&event, &mut lease);
-                        cell.record_hits(&stats);
-                        // Shard-local translation under the shard read
-                        // lock — see `match_into` for why that makes it
-                        // sound against concurrent migration.
-                        lease.translate_matched(|l| state.translation.global_of(l));
-                    } else {
-                        cell.record_prunes(1);
-                    }
-                    lease
-                }; // shard lock released before the rendezvous
+                // Same prune → match → translate step as the
+                // sequential walk, under the shard read lock (see
+                // `match_into` for why that is sound against concurrent
+                // migration); the lock is released before the
+                // rendezvous.
+                let (stats, lease) = cell
+                    .state
+                    .read()
+                    .match_event(&event, |engine| scratches.lease(engine));
+                cell.record(&stats);
                 drop(event);
                 drop(cell);
                 slot.fill(lease);
             });
         }
-        {
-            let cell = &set.shards[0];
-            let state = cell.state.read();
-            if !prune || state.synopsis.admits(event) {
-                let stats = state.engine.match_event_into(event, scratch);
-                cell.record_hits(&stats);
-                out.extend(
-                    scratch
-                        .matched()
-                        .iter()
-                        .filter_map(|&l| state.translation.global_of(l)),
-                );
-            } else {
-                cell.record_prunes(1);
-            }
-        }
+        Self::match_shard_into(&set.shards[0], event, scratch, out);
         let mut lost = 0u64;
         run.wait_each(|slot| match slot {
-            Some(lease) => out.extend_from_slice(lease.matched()),
+            Some(Some(lease)) => out.extend_from_slice(lease.matched()),
+            Some(None) => {}
             None => lost += 1,
         });
         fan.publish_rendezvous.park(run);
@@ -1627,43 +1536,14 @@ impl Broker {
                     &mut buckets,
                 );
             } else {
-                let prune = self.inner.prune;
                 for cell in &set.shards {
-                    let shard_state = cell.state.read();
-                    // One synopsis walk per shard fills the whole
-                    // batch's skip mask — the same per-event prune
-                    // decisions as before, under the once-per-batch
-                    // shard lock.
-                    let pruned = if prune {
-                        shard_state
-                            .synopsis
-                            .admits_batch(events, &[], &mut state.skip)
-                            as u64
-                    } else {
-                        state.skip.clear();
-                        state.skip.resize(events.len(), false);
-                        0
-                    };
-                    cell.record_prunes(pruned);
-                    if pruned as usize == events.len() {
-                        continue;
-                    }
-                    state.batch.reset();
-                    state.batch.ensure_capacity(&*shard_state.engine);
-                    let stats =
-                        shard_state
-                            .engine
-                            .match_batch(events, &state.skip, &mut state.batch);
-                    cell.record_hits(&stats);
-                    for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
-                        bucket.extend(
-                            state
-                                .batch
-                                .matched(e)
-                                .iter()
-                                .filter_map(|&l| shard_state.translation.global_of(l)),
-                        );
-                    }
+                    Self::match_batch_into(
+                        cell,
+                        events,
+                        &mut state.batch,
+                        &mut state.skip,
+                        &mut buckets,
+                    );
                 }
             }
             self.trim_oversized_batch(&mut state.batch);
@@ -1727,12 +1607,37 @@ impl Broker {
         delivered
     }
 
+    /// One shard's part of a batch, matched on the calling thread into
+    /// the thread-local `batch` scratch: the synopsis fills `skip` once
+    /// for the whole batch, the engine's batch kernel runs under the
+    /// once-per-batch shard read lock, and the translated ids are
+    /// appended to each event's bucket.
+    fn match_batch_into(
+        cell: &ShardCell,
+        events: &[Arc<Event>],
+        batch: &mut BatchScratch,
+        skip: &mut Vec<bool>,
+        buckets: &mut [Vec<SubscriptionId>],
+    ) {
+        let (stats, matched) = cell.state.read().match_batch(events, &[], skip, |engine| {
+            batch.reset();
+            batch.ensure_capacity(engine);
+            batch
+        });
+        cell.record(&stats);
+        if let Some(matched) = matched {
+            for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
+                bucket.extend_from_slice(matched.matched(e));
+            }
+        }
+    }
+
     /// Batch counterpart of [`Broker::match_parallel_into`]: each
-    /// remote shard's worker runs the engine's batch kernel over the
-    /// whole batch (shard lock taken once, one leased [`BatchScratch`]
-    /// reused across the batch, the shard's synopsis consulted once to
-    /// build the skip mask) into per-event buckets; the caller does
-    /// shard 0 inline and merges the worker buckets in shard order.
+    /// remote shard's worker runs the same step as
+    /// [`Broker::match_batch_into`] into a leased [`BatchScratch`] and
+    /// parks the lease in its slot (`None` when the synopsis pruned the
+    /// whole batch); the caller does shard 0 inline and merges the
+    /// leases' per-event ids in shard order.
     fn match_batch_parallel(
         &self,
         set: &Arc<ShardSet>,
@@ -1743,101 +1648,39 @@ impl Broker {
         buckets: &mut [Vec<SubscriptionId>],
     ) {
         let shards = set.shards.len();
-        let prune = self.inner.prune;
         // The worker jobs are `'static`; the one per-batch allocation
         // for sharing the event list is this Vec of Arc clones.
         let shared: Arc<Vec<Arc<Event>>> = Arc::new(events.to_vec());
-        // Each worker hands back its shard's matches as one flat id
-        // vector plus per-event end offsets — two allocations per shard
-        // per batch instead of one Vec per event; the rendezvous
-        // carrying them is pooled.
-        let run: Arc<FanOut<ShardMatches>> = fan.batch_rendezvous.checkout(shards - 1);
+        let run: Arc<FanOut<Option<BatchScratchLease>>> = fan.batch_rendezvous.checkout(shards - 1);
         for s in 1..shards {
             let slot = run.slot(s - 1);
             let cell = Arc::clone(&set.shards[s]);
             let scratches = Arc::clone(&fan.batch_scratches);
             let shared = Arc::clone(&shared);
             fan.pool.submit(move || {
-                let out = {
-                    let state = cell.state.read();
-                    let mut skip: Vec<bool> = Vec::new();
-                    let pruned = if prune {
-                        state.synopsis.admits_batch(&shared, &[], &mut skip) as u64
-                    } else {
-                        skip.resize(shared.len(), false);
-                        0
-                    };
-                    cell.record_prunes(pruned);
-                    let mut flat: Vec<SubscriptionId> = Vec::new();
-                    let mut ends: Vec<usize> = Vec::with_capacity(shared.len());
-                    if pruned as usize == shared.len() {
-                        // Fully-pruned shard: aligned empty per-event
-                        // slices, no scratch lease, no kernel run —
-                        // exactly like the sequential walk's `continue`.
-                        ends.resize(shared.len(), 0);
-                    } else {
-                        let mut lease = scratches.lease(&*state.engine);
-                        let stats = state.engine.match_batch(&shared, &skip, &mut lease);
-                        cell.record_hits(&stats);
-                        for e in 0..shared.len() {
-                            // Pruned events contribute no ids; the end
-                            // offset is still pushed so per-event
-                            // slices stay aligned with the batch.
-                            flat.extend(
-                                lease
-                                    .matched(e)
-                                    .iter()
-                                    .filter_map(|&l| state.translation.global_of(l)),
-                            );
-                            ends.push(flat.len());
-                        }
-                    }
-                    (flat, ends)
-                };
+                let mut skip: Vec<bool> = Vec::new();
+                let (stats, lease) =
+                    cell.state
+                        .read()
+                        .match_batch(&shared, &[], &mut skip, |engine| scratches.lease(engine));
+                cell.record(&stats);
                 drop(shared);
                 drop(cell);
-                slot.fill(out);
+                slot.fill(lease);
             });
         }
-        {
-            let cell = &set.shards[0];
-            let state = cell.state.read();
-            let pruned = if prune {
-                state.synopsis.admits_batch(events, &[], skip) as u64
-            } else {
-                skip.clear();
-                skip.resize(events.len(), false);
-                0
-            };
-            cell.record_prunes(pruned);
-            if (pruned as usize) < events.len() {
-                batch.reset();
-                batch.ensure_capacity(&*state.engine);
-                let stats = state.engine.match_batch(events, skip, batch);
-                cell.record_hits(&stats);
-                for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
-                    bucket.extend(
-                        batch
-                            .matched(e)
-                            .iter()
-                            .filter_map(|&l| state.translation.global_of(l)),
-                    );
-                }
-            }
-        }
+        Self::match_batch_into(&set.shards[0], events, batch, skip, buckets);
         // Slot order is shard order, so per-event ids concatenate
         // exactly like the sequential shard-major walk.
         let mut lost = 0u64;
-        run.wait_each(|slot| {
-            let Some((flat, ends)) = slot else {
-                lost += 1;
-                return;
-            };
-            let mut start = 0usize;
-            for (bucket, &end) in buckets.iter_mut().zip(&ends) {
-                bucket.extend_from_slice(&flat[start..end]);
-                start = end;
+        run.wait_each(|slot| match slot {
+            Some(Some(lease)) => {
+                for (e, bucket) in buckets.iter_mut().enumerate().take(events.len()) {
+                    bucket.extend_from_slice(lease.matched(e));
+                }
             }
+            Some(None) => {}
+            None => lost += 1,
         });
         fan.batch_rendezvous.park(run);
         self.note_lost_workers(lost);
@@ -2010,23 +1853,24 @@ impl Broker {
 
     /// The engines' memory breakdown, summed across shards, plus the
     /// routing overhead — the write-side directory's tables and stored
-    /// expressions *and* every shard's read-side translation map —
-    /// reported as `unsub_support`.
+    /// expressions *and* every shard's translation map and synopsis —
+    /// reported as `unsub_support`, and the warm scratches parked in
+    /// the fan-out pools, reported as `scratch`.
     pub fn memory_usage(&self) -> MemoryUsage {
         let set = self.shard_set();
         let mut routing = self.inner.directory.read().heap_bytes();
         let mut usage = MemoryUsage::default();
         for cell in &set.shards {
             let state = cell.state.read();
-            routing += state.translation.heap_bytes() + state.synopsis.heap_bytes();
-            usage = usage + state.engine.memory_usage();
+            routing += state.heap_bytes();
+            usage = usage + state.engine().memory_usage();
         }
-        // Warm batch scratches parked in the fan-out pool are broker
-        // memory too — charge them to the scratch bucket.
-        let pooled_scratch = set
-            .fanout
-            .as_ref()
-            .map_or(0, |fan| fan.batch_scratches.heap_bytes());
+        // Warm scratches parked in the fan-out pools — per-event and
+        // batch — are broker memory too: charge them to the scratch
+        // bucket.
+        let pooled_scratch = set.fanout.as_ref().map_or(0, |fan| {
+            fan.scratches.heap_bytes() + fan.batch_scratches.heap_bytes()
+        });
         usage
             + MemoryUsage {
                 unsub_support: routing,
@@ -2038,7 +1882,7 @@ impl Broker {
     /// Which engine kind the broker runs (of the first shard, when
     /// heterogeneous engines were supplied).
     pub fn engine_kind(&self) -> EngineKind {
-        self.shard_set().shards[0].state.read().engine.kind()
+        self.shard_set().shards[0].state.read().engine().kind()
     }
 
     /// Counter snapshot.
@@ -2295,8 +2139,6 @@ pub struct BrokerBuilder {
     recycled_ids: bool,
     background: Option<(Duration, RebalancePolicy)>,
     placement: PlacementPolicy,
-    /// `None` means "not set" and resolves to enabled.
-    shard_pruning: Option<bool>,
 }
 
 impl fmt::Debug for BrokerBuilder {
@@ -2315,7 +2157,6 @@ impl fmt::Debug for BrokerBuilder {
             .field("recycled_ids", &self.recycled_ids)
             .field("background_rebalance", &self.background)
             .field("placement", &self.placement)
-            .field("shard_pruning", &self.shard_pruning.unwrap_or(true))
             .finish()
     }
 }
@@ -2463,27 +2304,13 @@ impl BrokerBuilder {
     /// when a cluster outgrows twice the other shards' average), which
     /// makes the per-shard attribute synopses selective — on a
     /// partitionable workload an event then candidates at one or two
-    /// shards and [`shard pruning`](BrokerBuilder::shard_pruning) skips
-    /// the rest. Delivery is identical under either policy; only shard
-    /// assignment — and therefore pruning effectiveness — changes.
+    /// shards and every publish path skips the rest (see
+    /// [`Broker::shard_prune_counts`]). Delivery is identical under
+    /// either policy; only shard assignment — and therefore pruning
+    /// effectiveness — changes.
     #[must_use]
     pub fn placement(mut self, policy: PlacementPolicy) -> Self {
         self.placement = policy;
-        self
-    }
-
-    /// Enables or disables content-aware shard pruning on the publish
-    /// paths (default: **enabled**). When enabled, every publish
-    /// consults each shard's attribute synopsis (under the shard read
-    /// lock it already holds) and skips shards that provably contain
-    /// zero candidate subscriptions for the event. The synopsis is
-    /// conservative — it may admit a shard with no matches but never
-    /// excludes one with a match — so delivery is identical either
-    /// way; disabling only serves A/B measurement (see the
-    /// `bench_snapshot` prune rows).
-    #[must_use]
-    pub fn shard_pruning(mut self, enabled: bool) -> Self {
-        self.shard_pruning = Some(enabled);
         self
     }
 
@@ -2581,7 +2408,6 @@ impl BrokerBuilder {
             worker_threads,
             grow_kind,
             placement: self.placement,
-            prune: self.shard_pruning.unwrap_or(true),
             rebalancer: Mutex::new(None),
         });
         // Register the broker-global locks with lockdep (debug builds):
@@ -2658,6 +2484,16 @@ mod tests {
         let broker = Broker::builder().build();
         assert!(matches!(
             broker.subscribe("a >"),
+            Err(BrokerError::Parse(_))
+        ));
+        // Hostile nesting is a parse error, not a stack overflow.
+        let deep = format!("{}a = 1{}", "(".repeat(10_000), ")".repeat(10_000));
+        assert!(matches!(
+            broker.subscribe(&deep),
+            Err(BrokerError::Parse(_))
+        ));
+        assert!(matches!(
+            broker.subscribe(&"not ".repeat(100_000)),
             Err(BrokerError::Parse(_))
         ));
     }
@@ -3070,6 +2906,24 @@ mod tests {
     }
 
     #[test]
+    fn memory_usage_charges_the_per_event_fanout_pool() {
+        let broker = Broker::builder()
+            .shards(4)
+            .worker_threads(2)
+            .parallel_threshold(0)
+            .build();
+        let _subs: Vec<_> = (0..40)
+            .map(|i| broker.subscribe(&format!("a = {i} or b = 1")).unwrap())
+            .collect();
+        for _ in 0..8 {
+            assert_eq!(broker.publish(ev(&[("b", 1)])), 40);
+        }
+        let pooled = broker.scratch_pool().unwrap().heap_bytes();
+        assert!(pooled > 0, "the workers parked warm scratches");
+        assert!(broker.memory_usage().scratch >= pooled);
+    }
+
+    #[test]
     fn single_shard_broker_has_nothing_to_migrate() {
         let broker = Broker::builder().build();
         let _sub = broker.subscribe("a = 1").unwrap();
@@ -3195,8 +3049,7 @@ mod tests {
     fn shrink_panics_when_a_survivor_refuses_a_drained_subscription() {
         // Heterogeneous shards: the surviving counting shard cannot
         // accept the huge non-canonical expression living on the dying
-        // shard. The drain must panic (like ShardedEngine::resize), not
-        // spin forever on the refusal.
+        // shard. The drain must panic, not spin forever on the refusal.
         let broker = Broker::builder()
             .engine_instances(vec![
                 EngineKind::Counting.build(),
@@ -3288,22 +3141,6 @@ mod tests {
             let after_batch: u64 = broker.shard_prune_counts().iter().sum();
             assert_eq!(after_batch, 3 + 2 * 3, "three prunes per batched event");
         }
-    }
-
-    #[test]
-    fn pruning_can_be_disabled_for_measurement() {
-        let broker = Broker::builder()
-            .shards(4)
-            .placement(PlacementPolicy::ClusterByAttribute)
-            .shard_pruning(false)
-            .build();
-        let _subs: Vec<_> = (0..16)
-            .map(|i| broker.subscribe(&format!("g{} = 1", i % 4)).unwrap())
-            .collect();
-        // Same deliveries, no prunes: the knob only changes the walk.
-        assert_eq!(broker.publish(ev(&[("g0", 1)])), 4);
-        assert_eq!(broker.publish_batch_events(&[ev(&[("g1", 1)])]), 4);
-        assert_eq!(broker.shard_prune_counts(), vec![0, 0, 0, 0]);
     }
 
     #[test]

@@ -80,12 +80,7 @@ impl SubscriptionId {
 
     /// Packs a generation-tagged id: `slot` in the low 32 bits, the
     /// issuing `generation` above.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` does not fit the 32-bit slot field.
-    pub fn from_parts(generation: u32, slot: usize) -> SubscriptionId {
-        let slot = u32::try_from(slot).expect("subscription slot fits u32");
+    pub fn from_parts(generation: u32, slot: u32) -> SubscriptionId {
         SubscriptionId(u64::from(generation) << SLOT_BITS | u64::from(slot))
     }
 

@@ -31,34 +31,27 @@
 //! [`Matcher`] handle instead. See [`FilterEngine`] for the threading
 //! model.
 //!
-//! For write scalability, any of the engines can be **sharded**: a
-//! [`ShardedEngine`] partitions subscriptions across `S` inner engines
-//! and is itself a [`FilterEngine`], so everything downstream works
-//! against it transparently. Placement is load-aware (least-loaded
-//! shard, round-robin tie-break) and routed through a
-//! [`SubscriptionDirectory`] — a global-id indirection table that keeps
-//! ids stable while placement changes, which is what enables **live
-//! migration** ([`ShardedEngine::rebalance`]) and incremental
-//! shard-count **resizing** ([`ShardedEngine::resize`]). The broker
-//! builds its per-shard locking around the same directory.
+//! For write scalability, any of the engines can be **sharded**. A
+//! [`Shard`] is one engine plus its local → global
+//! [`ShardTranslation`] and its [`ShardSynopsis`], and is the only code
+//! that writes the three. A [`ShardedEngine`] partitions subscriptions
+//! across a static set of `S` shards and is itself a [`FilterEngine`],
+//! so everything downstream works against it transparently. Placement
+//! is load-aware (least-loaded shard, round-robin tie-break) and routed
+//! through a [`SubscriptionDirectory`] — a global-id indirection table
+//! that keeps ids stable while placement changes. The broker builds its
+//! per-shard locking, live migration, resizing and parallel fan-out
+//! (on a persistent [`WorkerPool`] with a [`FanOut`] rendezvous and
+//! pooled scratches) around the same two types.
 //!
-//! Fan-out is also **content-aware**: each shard keeps a
-//! [`ShardSynopsis`] — a conservative per-attribute summary of its
-//! residents' required conjuncts — and the publish paths skip shards
-//! whose synopsis proves zero candidates (reported as
-//! [`MatchStats::shards_pruned`]). An optional
-//! [`PlacementPolicy::ClusterByAttribute`] co-places subscriptions
-//! sharing a dominant equality attribute so that pruning actually
-//! bites; see the `synopsis` module docs for the conservativeness
-//! contract.
-//!
-//! For **intra-event** parallelism, one publish can fan out across the
-//! shards: [`ShardedEngine::match_event_parallel`] matches every shard
-//! concurrently (each worker drawing a warm [`MatchScratch`] from a
-//! [`ScratchPool`]) and merges in shard order, so the answer is
-//! bit-identical to the sequential walk. The broker runs the same
-//! fan-out on a persistent [`WorkerPool`] with a [`FanOut`] rendezvous;
-//! see the `pool` module docs.
+//! Fan-out is also **content-aware**: each shard's synopsis is a
+//! conservative per-attribute summary of its residents' required
+//! conjuncts, and every publish path skips shards whose synopsis proves
+//! zero candidates (reported as [`MatchStats::shards_pruned`]). An
+//! optional [`PlacementPolicy::ClusterByAttribute`] co-places
+//! subscriptions sharing a dominant equality attribute so that pruning
+//! actually bites; see the `synopsis` module docs for the
+//! conservativeness contract.
 //!
 //! # Examples
 //!
@@ -109,13 +102,13 @@ pub use interner::PredicateInterner;
 pub use memory::MemoryUsage;
 pub use noncanonical::{NonCanonicalConfig, NonCanonicalEngine};
 pub use pool::{
-    BatchScratchLease, BatchScratchPool, FanOut, FanOutPool, PooledBatchScratch, PooledScratch,
-    ScratchLease, ScratchPool, SlotGuard, WorkerPool,
+    BatchScratchLease, BatchScratchPool, FanOut, FanOutPool, ScratchLease, ScratchPool, SlotGuard,
+    WorkerPool,
 };
 pub use routing::{
     lock_classes, PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory,
 };
 pub use scratch::{BatchScratch, MatchScratch, Matcher};
-pub use shard::{BoxedEngine, ShardedEngine};
+pub use shard::{BoxedEngine, Shard, ShardedEngine};
 pub use stats::MatchStats;
 pub use synopsis::{attribute_hash, dominant_eq_attr, ShardSynopsis};

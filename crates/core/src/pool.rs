@@ -23,11 +23,9 @@
 //!   if the job unwinds), so a crashed worker can never wedge or
 //!   reorder the merge.
 //!
-//! [`crate::ShardedEngine::match_event_parallel`] composes these for
-//! plain-value engines (using scoped threads, since the engine is
-//! borrowed); `boolmatch-broker` composes them around its per-shard
-//! locks for the publish hot path, where jobs capture `Arc`s and run on
-//! the persistent pool.
+//! `boolmatch-broker` composes them around its per-shard locks for the
+//! publish hot path, where jobs capture `Arc`s and run on the
+//! persistent pool.
 
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -58,12 +56,13 @@ use crate::{BatchScratch, MatchScratch};
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use boolmatch_core::{EngineKind, ScratchPool};
 ///
 /// let engine = EngineKind::NonCanonical.build();
-/// let pool = ScratchPool::new(2);
+/// let pool = Arc::new(ScratchPool::new(2));
 /// {
-///     let _scratch = pool.checkout(&engine); // hygiene applied once here
+///     let _scratch = pool.lease(&engine); // hygiene applied once here
 /// } // returned to the pool on drop
 /// assert_eq!(pool.pooled(), 1);
 /// ```
@@ -138,19 +137,10 @@ impl ScratchPool {
     // job; pool slots are probed try-lock-only so a worker never
     // blocks here.
 
-    /// Checks a scratch out for matching against `engine`, borrowing
-    /// the pool. The hygiene pair — [`MatchScratch::reset`] +
-    /// [`MatchScratch::ensure_capacity`] — runs exactly once, here.
-    pub fn checkout(&self, engine: &(impl FilterEngine + ?Sized)) -> PooledScratch<'_> {
-        PooledScratch {
-            pool: self,
-            scratch: Some(self.take(engine)),
-        }
-    }
-
-    /// [`ScratchPool::checkout`] for `'static` contexts (jobs on a
-    /// [`WorkerPool`]): the lease holds an `Arc` to the pool instead of
-    /// a borrow.
+    /// Checks a scratch out for matching against `engine`. The hygiene
+    /// pair — [`MatchScratch::reset`] + [`MatchScratch::ensure_capacity`]
+    /// — runs exactly once, here. The lease holds an `Arc` to the pool,
+    /// so it can travel into `'static` jobs on a [`WorkerPool`].
     pub fn lease(self: &Arc<Self>, engine: &(impl FilterEngine + ?Sized)) -> ScratchLease {
         ScratchLease {
             pool: Arc::clone(self),
@@ -193,17 +183,8 @@ impl ScratchPool {
     // lint: end-hot-path
 }
 
-/// A checked-out scratch borrowing its [`ScratchPool`]; derefs to
-/// [`MatchScratch`] and returns the scratch on drop.
-#[derive(Debug)]
-pub struct PooledScratch<'a> {
-    pool: &'a ScratchPool,
-    scratch: Option<MatchScratch>,
-}
-
-/// A checked-out scratch holding its [`ScratchPool`] by `Arc` — the
-/// `'static` form worker-pool jobs use; derefs to [`MatchScratch`] and
-/// returns the scratch on drop.
+/// A checked-out scratch holding its [`ScratchPool`] by `Arc`; derefs
+/// to [`MatchScratch`] and returns the scratch on drop.
 #[derive(Debug)]
 pub struct ScratchLease {
     pool: Arc<ScratchPool>,
@@ -249,9 +230,7 @@ macro_rules! impl_scratch_guard {
     };
 }
 
-impl_scratch_guard!(PooledScratch<'_>, MatchScratch);
 impl_scratch_guard!(ScratchLease, MatchScratch);
-impl_scratch_guard!(PooledBatchScratch<'_>, BatchScratch);
 impl_scratch_guard!(BatchScratchLease, BatchScratch);
 
 // lint: end-hot-path
@@ -267,12 +246,13 @@ impl_scratch_guard!(BatchScratchLease, BatchScratch);
 /// # Examples
 ///
 /// ```
+/// use std::sync::Arc;
 /// use boolmatch_core::{BatchScratchPool, EngineKind};
 ///
 /// let engine = EngineKind::Counting.build();
-/// let pool = BatchScratchPool::new(2);
+/// let pool = Arc::new(BatchScratchPool::new(2));
 /// {
-///     let _batch = pool.checkout(&engine); // hygiene applied once here
+///     let _batch = pool.lease(&engine); // hygiene applied once here
 /// } // returned to the pool on drop
 /// assert_eq!(pool.pooled(), 1);
 /// ```
@@ -332,19 +312,10 @@ impl BatchScratchPool {
     // batch fan-out job; pool slots are probed try-lock-only so a
     // worker never blocks here.
 
-    /// Checks a batch scratch out for matching against `engine`,
-    /// borrowing the pool. The hygiene pair — [`BatchScratch::reset`] +
-    /// [`BatchScratch::ensure_capacity`] — runs exactly once, here.
-    pub fn checkout(&self, engine: &(impl FilterEngine + ?Sized)) -> PooledBatchScratch<'_> {
-        PooledBatchScratch {
-            pool: self,
-            scratch: Some(self.take(engine)),
-        }
-    }
-
-    /// [`BatchScratchPool::checkout`] for `'static` contexts (jobs on a
-    /// [`WorkerPool`]): the lease holds an `Arc` to the pool instead of
-    /// a borrow.
+    /// Checks a batch scratch out for matching against `engine`. The
+    /// hygiene pair — [`BatchScratch::reset`] +
+    /// [`BatchScratch::ensure_capacity`] — runs exactly once, here. The
+    /// lease holds an `Arc` to the pool, like [`ScratchPool::lease`].
     pub fn lease(self: &Arc<Self>, engine: &(impl FilterEngine + ?Sized)) -> BatchScratchLease {
         BatchScratchLease {
             pool: Arc::clone(self),
@@ -386,17 +357,8 @@ impl BatchScratchPool {
     // lint: end-hot-path
 }
 
-/// A checked-out batch scratch borrowing its [`BatchScratchPool`];
-/// derefs to [`BatchScratch`] and returns the scratch on drop.
-#[derive(Debug)]
-pub struct PooledBatchScratch<'a> {
-    pool: &'a BatchScratchPool,
-    scratch: Option<BatchScratch>,
-}
-
 /// A checked-out batch scratch holding its [`BatchScratchPool`] by
-/// `Arc` — the `'static` form worker-pool jobs use; derefs to
-/// [`BatchScratch`] and returns the scratch on drop.
+/// `Arc`; derefs to [`BatchScratch`] and returns the scratch on drop.
 #[derive(Debug)]
 pub struct BatchScratchLease {
     pool: Arc<BatchScratchPool>,
@@ -413,9 +375,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// Built for the broker's parallel publish pipeline: the pool is
 /// created once (threads park between publishes) and each publish
 /// submits one job per remote shard — no thread spawn on the hot path.
-/// Jobs must be `'static` (capture `Arc`s, not borrows); for borrowed
-/// data use [`crate::ShardedEngine::match_event_parallel`]'s scoped
-/// fan-out instead.
+/// Jobs must be `'static` (capture `Arc`s, not borrows).
 ///
 /// A panicking job is caught on the worker (matching `parking_lot`'s
 /// no-poisoning spirit) so the thread survives to serve later jobs;
@@ -790,12 +750,12 @@ mod tests {
                 .subscribe(&Expr::parse(&format!("(a = {i} or b = 1) and c <= {i}")).unwrap())
                 .unwrap();
         }
-        let pool = ScratchPool::new(2);
+        let pool = Arc::new(ScratchPool::new(2));
         let event = Event::builder().attr("b", 1_i64).attr("c", 0_i64).build();
 
         // Warm-up: one checkout grows the scratch to the engine.
         {
-            let mut scratch = pool.checkout(&engine);
+            let mut scratch = pool.lease(&engine);
             engine.match_event_into(&event, &mut scratch);
         }
         assert_eq!(pool.pooled(), 1);
@@ -805,7 +765,7 @@ mod tests {
         // Steady state: repeated checkouts re-use the warm scratch and
         // the pool's footprint stays bit-identical.
         for _ in 0..100 {
-            let mut scratch = pool.checkout(&engine);
+            let mut scratch = pool.lease(&engine);
             let stats = engine.match_event_into(&event, &mut scratch);
             assert_eq!(stats.matched, 50);
         }
@@ -821,14 +781,14 @@ mod tests {
                 .subscribe(&Expr::parse(&format!("(a = {i} or b = 1) and c <= {i}")).unwrap())
                 .unwrap();
         }
-        let pool = BatchScratchPool::new(2);
+        let pool = Arc::new(BatchScratchPool::new(2));
         let events: Vec<Arc<Event>> = (0..80)
             .map(|_| Arc::new(Event::builder().attr("b", 1_i64).attr("c", 0_i64).build()))
             .collect();
 
         // Warm-up: two batches grow every lane/scalar buffer fully.
         for _ in 0..2 {
-            let mut batch = pool.checkout(&engine);
+            let mut batch = pool.lease(&engine);
             engine.match_batch(&events, &[], &mut batch);
         }
         assert_eq!(pool.pooled(), 1);
@@ -838,7 +798,7 @@ mod tests {
         // Steady state: repeated checkouts re-use the warm batch
         // scratch and the pool's footprint stays bit-identical.
         for _ in 0..50 {
-            let mut batch = pool.checkout(&engine);
+            let mut batch = pool.lease(&engine);
             let stats = engine.match_batch(&events, &[], &mut batch);
             assert_eq!(stats.batch_events, 80);
         }
@@ -854,12 +814,12 @@ mod tests {
                 .subscribe(&Expr::parse(&format!("x{i} = 1 and y{i} = 2")).unwrap())
                 .unwrap();
         }
-        let pool = BatchScratchPool::with_trim_cap(1, 64);
+        let pool = Arc::new(BatchScratchPool::with_trim_cap(1, 64));
         let events: Vec<Arc<Event>> = (0..70)
             .map(|_| Arc::new(Event::builder().attr("x0", 1_i64).build()))
             .collect();
         {
-            let mut batch = pool.checkout(&engine);
+            let mut batch = pool.lease(&engine);
             engine.match_batch(&events, &[], &mut batch);
             assert!(batch.heap_bytes() > 64);
         }
@@ -871,12 +831,12 @@ mod tests {
     #[test]
     fn concurrent_checkouts_never_block_and_pool_caps_retention() {
         let engine = EngineKind::Counting.build();
-        let pool = ScratchPool::new(2);
+        let pool = Arc::new(ScratchPool::new(2));
         // Three concurrent checkouts from a 2-slot pool: the third gets
         // a fresh scratch instead of blocking.
-        let a = pool.checkout(&engine);
-        let b = pool.checkout(&engine);
-        let c = pool.checkout(&engine);
+        let a = pool.lease(&engine);
+        let b = pool.lease(&engine);
+        let c = pool.lease(&engine);
         drop(a);
         drop(b);
         drop(c); // pool full: this one is dropped, not parked
@@ -896,9 +856,9 @@ mod tests {
 
         // Uncapped pool (the old behaviour): the match's high-water
         // capacity stays pinned in the parked scratch.
-        let uncapped = ScratchPool::new(1);
+        let uncapped = Arc::new(ScratchPool::new(1));
         {
-            let mut scratch = uncapped.checkout(&engine);
+            let mut scratch = uncapped.lease(&engine);
             engine.match_event_into(&event, &mut scratch);
         }
         let pinned = uncapped.heap_bytes();
@@ -907,10 +867,10 @@ mod tests {
         // Capped pool: the same spike is trimmed on return — the
         // scratch is still parked (warm slot), but its capacity is
         // released instead of pinned forever.
-        let capped = ScratchPool::with_trim_cap(1, 64);
+        let capped = Arc::new(ScratchPool::with_trim_cap(1, 64));
         assert_eq!(capped.trim_cap(), 64);
         {
-            let mut scratch = capped.checkout(&engine);
+            let mut scratch = capped.lease(&engine);
             engine.match_event_into(&event, &mut scratch);
             assert!(scratch.heap_bytes() > 64);
         }
@@ -918,7 +878,7 @@ mod tests {
         assert_eq!(capped.heap_bytes(), 0, "high-water capacity released");
 
         // A trimmed scratch still matches correctly on re-checkout.
-        let mut scratch = capped.checkout(&engine);
+        let mut scratch = capped.lease(&engine);
         let stats = engine.match_event_into(&event, &mut scratch);
         assert_eq!(stats.matched, 64);
     }
@@ -992,7 +952,7 @@ mod tests {
         );
         // The pool itself still works.
         let engine = EngineKind::Counting.build();
-        drop(pool.checkout(&engine));
+        drop(pool.lease(&engine));
         assert_eq!(pool.pooled(), 1);
     }
 

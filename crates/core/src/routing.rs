@@ -36,14 +36,13 @@
 //! Predicate ids are *not* in the directory: predicates are interned
 //! per shard, never migrate individually, and only surface through the
 //! transient standalone `phase1`/`phase2` API. They keep the cheap
-//! stride arithmetic in [`PredicateRouter`], rebuilt when the shard
-//! count changes (a global predicate id is only meaningful between a
-//! `phase1`/`phase2` pair with no intervening resize).
+//! stride arithmetic in [`PredicateRouter`].
 
 use std::sync::Arc;
 
 use boolmatch_expr::Expr;
 
+use crate::synopsis::{attribute_hash, dominant_eq_attr};
 use crate::{PredicateId, SubscriptionId};
 
 /// The canonical [lockdep](parking_lot::lockdep) class names for the
@@ -378,6 +377,24 @@ impl SubscriptionDirectory {
         self.place_among(self.active)
     }
 
+    /// Reserves a shard for `expr` under `policy` — the one place a
+    /// [`PlacementPolicy`] is interpreted: least-loaded
+    /// ([`SubscriptionDirectory::place`]), or clustered on the
+    /// subscription's dominant equality attribute
+    /// ([`SubscriptionDirectory::place_clustered`]), falling back to
+    /// least-loaded when it has none. Complete with
+    /// [`SubscriptionDirectory::commit`] or
+    /// [`SubscriptionDirectory::cancel`], like `place`.
+    pub fn place_for(&mut self, policy: PlacementPolicy, expr: &Expr) -> usize {
+        match policy {
+            PlacementPolicy::LeastLoaded => self.place(),
+            PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(expr) {
+                Some(attr) => self.place_clustered(attribute_hash(attr)),
+                None => self.place(),
+            },
+        }
+    }
+
     /// [`SubscriptionDirectory::place`] restricted to shards
     /// `0..limit` — the form shard draining uses, so a dying shard
     /// (index ≥ `limit`) is never chosen as a migration target.
@@ -533,10 +550,7 @@ impl SubscriptionDirectory {
             }
         };
         self.live += 1;
-        SubscriptionId::from_parts(
-            self.slots[slot_index as usize].generation,
-            slot_index as usize,
-        )
+        SubscriptionId::from_parts(self.slots[slot_index as usize].generation, slot_index)
     }
 
     /// The slot behind `global`, provided the id's generation matches
@@ -763,9 +777,7 @@ impl ShardTranslation {
             .get(local.index())
             .copied()
             .filter(|&raw| raw != NO_GLOBAL)
-            .map(|raw| {
-                SubscriptionId::from_parts((raw >> 32) as u32, (raw & u64::from(u32::MAX)) as usize)
-            })
+            .map(|raw| SubscriptionId::from_parts((raw >> 32) as u32, raw as u32))
     }
 
     /// Clears the `local` entry, returning the global id it mapped (or
@@ -843,9 +855,8 @@ impl ShardTranslation {
 /// Predicates are interned independently per shard and never migrate,
 /// so — unlike subscription ids, which live in the
 /// [`SubscriptionDirectory`] — their global ids can stay arithmetic.
-/// The mapping is only meaningful for a fixed shard count: a sharded
-/// engine rebuilds its router when it is resized, and a `phase1` output
-/// must not be fed to `phase2` across a resize.
+/// The mapping is only meaningful for a fixed shard count, which a
+/// sharded engine's is.
 ///
 /// # Examples
 ///

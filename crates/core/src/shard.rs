@@ -1,43 +1,37 @@
-//! A sharded composite engine: `S` inner engines behind one
-//! [`FilterEngine`] face.
+//! Sharding: the per-shard [`Shard`] cell, and [`ShardedEngine`] —
+//! `S` shards behind one [`FilterEngine`] face.
 //!
 //! Partitioning subscriptions across independent engine shards is the
 //! standard route to write-scalable content-based matching: each
 //! subscribe/unsubscribe touches exactly one shard, and each shard is
 //! just a smaller engine, so per-event phase-2 cost per shard shrinks
-//! with `S`. The composite engine here keeps the partitioning invisible
-//! — it implements [`FilterEngine`] itself, so the sweep harness,
-//! tests, and any single-threaded caller can use it transparently.
+//! with `S`.
+//!
+//! A [`Shard`] is one engine plus the two read-side structures matching
+//! consults — its local → global [`ShardTranslation`] and its
+//! [`ShardSynopsis`] — and it is the **only** code that writes those
+//! three in lockstep: registration, retirement, the move step of live
+//! migration, and the prune → match → translate step of every publish
+//! path. Both owners of shards build on it:
+//!
+//! * [`ShardedEngine`] holds a plain `Vec<Shard>` and is itself a
+//!   [`FilterEngine`], so the sweep harness, tests and any
+//!   single-threaded caller use the partitioning transparently. Its
+//!   shard set is static: placement is load-aware (least-loaded shard,
+//!   round-robin tie-break, or clustered by attribute), but nothing is
+//!   ever moved.
+//! * `boolmatch-broker` holds each shard behind its own `RwLock` and
+//!   owns the concurrent algorithms — live migration, rebalancing,
+//!   resizing and the parallel publish fan-out.
 //!
 //! Routing splits across two structures. The write-side
 //! [`SubscriptionDirectory`] issues global ids in arrival order (the
 //! *n*-th accepted subscription gets global id *n*, exactly as an
 //! unsharded engine would assign — the shard-equivalence property
 //! tests rely on this) and maps each id to whatever `(shard, local)`
-//! slot currently backs it. Each shard additionally owns a read-side
-//! [`ShardTranslation`] — its local → global reverse map — which is
-//! all matching ever consults: translating a matched local id touches
-//! only the shard that produced it, never the directory. Because the
-//! id is **stable while the placement is not**, the engine supports
-//! what stride arithmetic never could:
-//!
-//! * **load-aware placement** — [`FilterEngine::subscribe`] picks the
-//!   least-loaded shard (round-robin tie-break), so a shard drained by
-//!   unsubscribes is refilled instead of skipped past blindly;
-//! * **live migration** — [`ShardedEngine::migrate`] /
-//!   [`ShardedEngine::rebalance`] move subscriptions from overloaded to
-//!   underloaded shards by re-subscribing the stored expression on the
-//!   target and retiring the source entry, without changing any id;
-//! * **incremental resizing** — [`ShardedEngine::resize`] grows or
-//!   shrinks the shard vector, draining one shard at a time instead of
-//!   rebuilding the world.
-//!
-//! **Locking is deliberately not here.** `ShardedEngine` is a plain
-//! value with `&mut self` registration, like every other engine. The
-//! broker achieves *concurrent* shard writes (and migration that only
-//! stalls the two shards involved) by holding its shards in separate
-//! `RwLock`s around a shared [`SubscriptionDirectory`]; see
-//! `boolmatch-broker`.
+//! slot currently backs it. Each shard's own translation map is all
+//! matching ever consults: translating a matched local id touches only
+//! the shard that produced it, never the directory.
 //!
 //! # Examples
 //!
@@ -48,34 +42,36 @@
 //!
 //! let mut engine = Matcher::new(ShardedEngine::new(EngineKind::NonCanonical, 4));
 //! let id = engine.subscribe(&Expr::parse("(a = 1 or b = 2) and c = 3")?)?;
-//! engine.engine_mut().rebalance(); // no-op here: placement is already even
 //! let event = Event::builder().attr("b", 2_i64).attr("c", 3_i64).build();
 //! assert_eq!(engine.match_event(&event).matched, vec![id]);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 use std::fmt;
+use std::ops::DerefMut;
 use std::sync::Arc;
 
 use boolmatch_expr::Expr;
 use boolmatch_types::Event;
 
 use crate::engine::{EngineKind, FilterEngine, SubscribeError, UnsubscribeError};
-use crate::pool::{BatchScratchPool, PooledBatchScratch, PooledScratch, ScratchPool};
 use crate::routing::{PlacementPolicy, PredicateRouter, ShardTranslation, SubscriptionDirectory};
-use crate::synopsis::{attribute_hash, dominant_eq_attr, ShardSynopsis};
+use crate::synopsis::ShardSynopsis;
 use crate::{BatchScratch, FulfilledSet, MatchScratch, MatchStats, MemoryUsage, SubscriptionId};
 
 /// A boxed engine usable as a shard.
 pub type BoxedEngine = Box<dyn FilterEngine + Send + Sync>;
 
-/// One shard: its engine plus the two read-side structures matching
-/// consults — the local → global translation map and the attribute
-/// synopsis pruning reads. Keeping both *with* the shard (instead of in
-/// the shared directory) is what keeps the publish path off any shared
-/// state — the broker's concurrent form protects all three together
-/// under one per-shard lock.
-struct ShardSlot {
+/// One shard: its engine, the local → global translation map, and the
+/// attribute synopsis pruning reads.
+///
+/// Keeping the read-side structures *with* the shard (instead of in the
+/// shared directory) is what keeps the publish path off any shared
+/// state: an owner that guards a `Shard` with one lock matches,
+/// prunes and translates under that lock alone. The three structures
+/// are private, so every write goes through the methods below and they
+/// can never drift apart.
+pub struct Shard {
     engine: BoxedEngine,
     translation: ShardTranslation,
     /// Conservative summary of the residents' required conjuncts;
@@ -84,38 +80,224 @@ struct ShardSlot {
     synopsis: ShardSynopsis,
 }
 
-impl ShardSlot {
-    fn new(engine: BoxedEngine) -> Self {
-        ShardSlot {
+impl Shard {
+    /// An empty shard around `engine`.
+    pub fn new(engine: BoxedEngine) -> Self {
+        Shard {
             engine,
             translation: ShardTranslation::new(),
             synopsis: ShardSynopsis::new(),
         }
     }
+
+    /// The shard's engine, for inspection.
+    pub fn engine(&self) -> &(dyn FilterEngine + Send + Sync) {
+        &*self.engine
+    }
+
+    /// The shard's local → global translation map, for inspection.
+    pub fn translation(&self) -> &ShardTranslation {
+        &self.translation
+    }
+
+    /// The shard's attribute synopsis, for inspection.
+    pub fn synopsis(&self) -> &ShardSynopsis {
+        &self.synopsis
+    }
+
+    /// Heap bytes of the routing structures the shard adds to its
+    /// engine — translation map plus synopsis (the engine reports its
+    /// own through [`FilterEngine::memory_usage`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.translation.heap_bytes() + self.synopsis.heap_bytes()
+    }
+
+    /// Registers `expr` on the engine, then calls `commit` with the
+    /// engine-assigned local id to issue the global id (the directory
+    /// step), and records the pair in the translation map and the
+    /// synopsis. Returns the global id.
+    ///
+    /// # Errors
+    ///
+    /// Returns the engine's [`SubscribeError`]; `commit` is then never
+    /// called and the shard is unchanged.
+    pub fn subscribe(
+        &mut self,
+        expr: &Expr,
+        commit: impl FnOnce(SubscriptionId) -> SubscriptionId,
+    ) -> Result<SubscriptionId, SubscribeError> {
+        let local = self.engine.subscribe(expr)?;
+        let global = commit(local);
+        self.translation.set(local, global);
+        self.synopsis.insert(local, expr);
+        Ok(global)
+    }
+
+    /// Removes `local` from the shard — engine, translation and
+    /// synopsis — provided its translation entry still names `global`.
+    /// Returns `false`, changing nothing, when it does not: the slot was
+    /// already retired (or re-used by a later subscription).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine refuses to remove a local id the
+    /// translation map holds (the two are out of sync).
+    pub fn retire(&mut self, local: SubscriptionId, global: SubscriptionId) -> bool {
+        if !self.translation.clear_if(local, global) {
+            return false;
+        }
+        self.engine
+            .unsubscribe(local)
+            .expect("translation and shard engine are kept in sync");
+        self.synopsis.remove(local);
+        true
+    }
+
+    /// The move step of live migration: re-subscribes `expr` (the
+    /// subscription `global`, resident here as `local`) on `target`,
+    /// then asks `commit` to repoint the directory to the new local id.
+    /// When `commit` agrees, the source entry is retired and `target`'s
+    /// translation and synopsis take over — `Ok(true)`. When it refuses
+    /// (the subscription was retired meanwhile), the target-side copy
+    /// is undone and nothing changed — `Ok(false)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the target engine's [`SubscribeError`] when it refuses
+    /// the expression; `commit` is then never called.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an engine refuses to remove a local id it just
+    /// registered or the translation map holds.
+    pub fn move_to(
+        &mut self,
+        target: &mut Shard,
+        global: SubscriptionId,
+        local: SubscriptionId,
+        expr: &Expr,
+        commit: impl FnOnce(SubscriptionId) -> bool,
+    ) -> Result<bool, SubscribeError> {
+        let new_local = target.engine.subscribe(expr)?;
+        if !commit(new_local) {
+            target
+                .engine
+                .unsubscribe(new_local)
+                .expect("the fresh target copy is removable");
+            return Ok(false);
+        }
+        self.engine
+            .unsubscribe(local)
+            .expect("directory and shard engines are kept in sync");
+        let cleared = self.translation.clear_if(local, global);
+        debug_assert!(cleared, "relocated entries were resident");
+        self.synopsis.remove(local);
+        target.translation.set(new_local, global);
+        target.synopsis.insert(new_local, expr);
+        Ok(true)
+    }
+
+    // lint: hot-path — the prune → match → translate step every publish
+    // path runs per shard: shard-local state only.
+
+    /// Prune → match → translate for one event. When the synopsis
+    /// proves zero candidates the shard is skipped —
+    /// [`MatchStats::shards_pruned`] is 1 and `scratch` is never called,
+    /// so a pruned shard acquires no scratch. Otherwise `scratch`
+    /// supplies the match scratch (the caller's own, or a pool lease),
+    /// the engine matches into it, and its matched ids are rewritten in
+    /// place to global ids; a local id with no translation entry (its
+    /// subscription was retired concurrently) is dropped. The scratch
+    /// is handed back so the caller can read
+    /// [`MatchScratch::matched`].
+    pub fn match_event<S: DerefMut<Target = MatchScratch>>(
+        &self,
+        event: &Event,
+        scratch: impl FnOnce(&(dyn FilterEngine + Send + Sync)) -> S,
+    ) -> (MatchStats, Option<S>) {
+        if !self.synopsis.admits(event) {
+            let pruned = MatchStats {
+                shards_pruned: 1,
+                ..MatchStats::default()
+            };
+            return (pruned, None);
+        }
+        let mut scratch = scratch(&*self.engine);
+        let stats = self.engine.match_event_into(event, &mut scratch);
+        scratch.translate_matched(|local| self.translation.global_of(local));
+        (stats, Some(scratch))
+    }
+
+    /// [`Shard::match_event`] for a batch: the synopsis fills
+    /// `shard_skip` with the events this shard provably cannot match
+    /// (or-ed with the caller's `skip`; one
+    /// [`MatchStats::shards_pruned`] per pruned event), and only when
+    /// at least one event survives is `scratch` called and the engine's
+    /// batch kernel run. Each event's matched ids are translated in
+    /// place like the per-event path's.
+    pub fn match_batch<S: DerefMut<Target = BatchScratch>>(
+        &self,
+        events: &[Arc<Event>],
+        skip: &[bool],
+        shard_skip: &mut Vec<bool>,
+        scratch: impl FnOnce(&(dyn FilterEngine + Send + Sync)) -> S,
+    ) -> (MatchStats, Option<S>) {
+        let mut stats = MatchStats {
+            shards_pruned: self.synopsis.admits_batch(events, skip, shard_skip),
+            ..MatchStats::default()
+        };
+        if shard_skip.iter().all(|&sk| sk) {
+            return (stats, None);
+        }
+        let mut batch = scratch(&*self.engine);
+        stats = stats + self.engine.match_batch(events, shard_skip, &mut batch);
+        for matched in batch.matched.iter_mut().take(events.len()) {
+            matched.retain_mut(|id| match self.translation.global_of(*id) {
+                Some(global) => {
+                    *id = global;
+                    true
+                }
+                None => false,
+            });
+        }
+        (stats, Some(batch))
+    }
+
+    // lint: end-hot-path
+}
+
+impl fmt::Debug for Shard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Shard")
+            .field("kind", &self.engine.kind())
+            .field("subscriptions", &self.translation.len())
+            .finish()
+    }
 }
 
 /// `S` inner engines composed into one [`FilterEngine`].
 ///
-/// * `subscribe` places onto the least-loaded shard (round-robin
-///   tie-break, so a churn-free stream places exactly like classic
-///   round-robin); `unsubscribe` routes by directory lookup to the
-///   owning shard.
+/// * `subscribe` places through the [`SubscriptionDirectory`] under the
+///   engine's [`PlacementPolicy`] (least-loaded by default, with a
+///   round-robin tie-break, so a churn-free stream places exactly like
+///   classic round-robin); `unsubscribe` routes by directory lookup to
+///   the owning shard.
 /// * Matching runs every shard against the event and merges the
 ///   results: matched ids are translated to the global id space through
-///   the directory's reverse maps, [`MatchStats`] and [`MemoryUsage`]
-///   are summed component-wise (per-shard work adds up — e.g.
-///   `fulfilled` counts each shard's own phase-1 output, since shards
-///   intern predicates independently).
-/// * [`ShardedEngine::migrate`], [`ShardedEngine::rebalance`] and
-///   [`ShardedEngine::resize`] move live subscriptions between shards
-///   without changing their global ids.
+///   each shard's own map, [`MatchStats`] and [`MemoryUsage`] are
+///   summed component-wise (per-shard work adds up — e.g. `fulfilled`
+///   counts each shard's own phase-1 output, since shards intern
+///   predicates independently).
 /// * With `S = 1` placement is trivial and behaviour is
 ///   indistinguishable from the inner engine.
+///
+/// The shard set is static: live migration, resizing and parallel
+/// fan-out belong to the broker, which guards each [`Shard`] with its
+/// own lock.
 pub struct ShardedEngine {
     directory: SubscriptionDirectory,
-    shards: Vec<ShardSlot>,
-    /// Stride router for the per-shard *predicate* spaces (predicates
-    /// never migrate); rebuilt on resize.
+    shards: Vec<Shard>,
+    /// Stride router for the per-shard *predicate* spaces.
     pred_router: PredicateRouter,
     /// How `subscribe` picks a shard; see [`PlacementPolicy`].
     placement: PlacementPolicy,
@@ -137,8 +319,7 @@ impl ShardedEngine {
     /// The trade-offs: ids no longer align with a flat engine's
     /// arrival-order ids, and a caller holding a stale id can collide
     /// with its new owner — so this stays an explicit engine-level
-    /// opt-in (the broker, whose subscription handles unsubscribe on
-    /// drop, always uses arrival-order ids).
+    /// opt-in.
     ///
     /// # Panics
     ///
@@ -160,15 +341,13 @@ impl ShardedEngine {
         ShardedEngine {
             directory: SubscriptionDirectory::new(engines.len()),
             pred_router: PredicateRouter::new(engines.len()),
-            shards: engines.into_iter().map(ShardSlot::new).collect(),
+            shards: engines.into_iter().map(Shard::new).collect(),
             placement: PlacementPolicy::default(),
         }
     }
 
     /// Sets the [`PlacementPolicy`] subsequent subscribes use. Existing
-    /// placements are untouched; pair a switch to
-    /// [`PlacementPolicy::ClusterByAttribute`] on a populated engine
-    /// with [`ShardedEngine::rebalance`] if the old spread matters.
+    /// placements are untouched.
     #[must_use]
     pub fn with_placement(mut self, placement: PlacementPolicy) -> Self {
         self.placement = placement;
@@ -197,7 +376,7 @@ impl ShardedEngine {
     ///
     /// Panics if `i >= shard_count()`.
     pub fn shard(&self, i: usize) -> &(dyn FilterEngine + Send + Sync) {
-        &*self.shards[i].engine
+        self.shards[i].engine()
     }
 
     /// Shard `i`'s local → global translation map, for inspection.
@@ -206,7 +385,7 @@ impl ShardedEngine {
     ///
     /// Panics if `i >= shard_count()`.
     pub fn translation(&self, i: usize) -> &ShardTranslation {
-        &self.shards[i].translation
+        self.shards[i].translation()
     }
 
     /// Shard `i`'s attribute synopsis, for inspection (the conservative
@@ -216,7 +395,7 @@ impl ShardedEngine {
     ///
     /// Panics if `i >= shard_count()`.
     pub fn synopsis(&self, i: usize) -> &ShardSynopsis {
-        &self.shards[i].synopsis
+        self.shards[i].synopsis()
     }
 
     /// Live subscriptions per shard, as the shard engines report them.
@@ -226,334 +405,9 @@ impl ShardedEngine {
     pub fn shard_subscription_counts(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.engine.subscription_count())
+            .map(|s| s.engine().subscription_count())
             .collect()
     }
-
-    /// Moves up to `max_moves` subscriptions, one at a time, from the
-    /// currently most-loaded to the currently least-loaded shard —
-    /// live migration: the stored expression is re-subscribed on the
-    /// target shard, the source entry is retired, and the global id is
-    /// untouched, so existing subscribers notice nothing. Stops early
-    /// once the loads are balanced (spread ≤ 1) or a move is refused
-    /// (possible only with heterogeneous shards whose target engine
-    /// rejects the expression — the subscription then simply stays
-    /// put). Returns the number of subscriptions moved.
-    pub fn migrate(&mut self, max_moves: usize) -> usize {
-        let mut moved = 0;
-        while moved < max_moves {
-            let Some((from, to)) = self.directory.skew_pair() else {
-                break;
-            };
-            if !self.migrate_one(from, to) {
-                break;
-            }
-            moved += 1;
-        }
-        moved
-    }
-
-    /// Migrates until the per-shard loads are as even as they can be:
-    /// afterwards `max(load) − min(load) ≤ 1` (unless a heterogeneous
-    /// target shard refused a move). Returns the number of
-    /// subscriptions moved.
-    pub fn rebalance(&mut self) -> usize {
-        self.migrate(usize::MAX)
-    }
-
-    /// Grows or shrinks to `new_shards` shards **incrementally**.
-    /// Growing appends fresh engines of [`ShardedEngine::kind`] (new
-    /// shards start empty; follow with [`ShardedEngine::rebalance`] to
-    /// spread existing subscriptions onto them). Shrinking drains one
-    /// dying shard at a time — each resident is live-migrated to the
-    /// least-loaded surviving shard — then drops the empty engine, so
-    /// no surviving shard is ever rebuilt and every global id survives.
-    /// Returns the number of subscriptions migrated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_shards` is zero, or if a surviving shard refuses
-    /// a drained subscription (possible only with heterogeneous
-    /// shards).
-    pub fn resize(&mut self, new_shards: usize) -> usize {
-        assert!(new_shards > 0, "a sharded engine needs at least one shard");
-        let old = self.shards.len();
-        let mut moved = 0;
-        if new_shards > old {
-            let kind = self.kind();
-            for _ in old..new_shards {
-                self.shards.push(ShardSlot::new(kind.build()));
-                self.directory.add_shard();
-            }
-        } else {
-            for dying in (new_shards..old).rev() {
-                while let Some((global, local)) = self.shards[dying].translation.last_resident() {
-                    // `place_among` keeps the drain spreading over the
-                    // survivors (least-loaded + tie-break cursor); the
-                    // reservation is released immediately because
-                    // `relocate` moves the load unit itself.
-                    let to = self.directory.place_among(new_shards);
-                    self.directory.cancel(to);
-                    self.relocate(global, dying, local, to)
-                        .expect("a surviving shard refused a drained subscription");
-                    moved += 1;
-                }
-                self.shards.pop();
-                self.directory.remove_last_shard();
-            }
-        }
-        self.pred_router = PredicateRouter::new(new_shards);
-        moved
-    }
-
-    /// One migration step from `from` to `to`; `false` when `from` has
-    /// no residents or the target engine refuses the expression.
-    fn migrate_one(&mut self, from: usize, to: usize) -> bool {
-        let Some((global, local)) = self.shards[from].translation.last_resident() else {
-            return false;
-        };
-        self.relocate(global, from, local, to).is_ok()
-    }
-
-    /// Moves one subscription: re-subscribe on `to`, retire on `from`,
-    /// repoint the directory and the two shards' translation maps. The
-    /// global id is untouched.
-    fn relocate(
-        &mut self,
-        global: SubscriptionId,
-        from: usize,
-        local: SubscriptionId,
-        to: usize,
-    ) -> Result<(), SubscribeError> {
-        let expr = Arc::clone(
-            self.directory
-                .expr_of(global)
-                .expect("residents hold live directory entries"),
-        );
-        let new_local = self.shards[to].engine.subscribe(&expr)?;
-        self.shards[from]
-            .engine
-            .unsubscribe(local)
-            .expect("directory and shard engines are kept in sync");
-        let relocated = self.directory.relocate(global, from, local, to, new_local);
-        debug_assert!(relocated, "single-threaded relocation cannot race");
-        let cleared = self.shards[from].translation.clear_if(local, global);
-        debug_assert!(cleared, "translation and directory are kept in sync");
-        self.shards[from].synopsis.remove(local);
-        self.shards[to].translation.set(new_local, global);
-        self.shards[to].synopsis.insert(new_local, &expr);
-        Ok(())
-    }
-
-    /// [`FilterEngine::match_event_into`], with the per-shard matching
-    /// fanned out across threads instead of walked sequentially — the
-    /// intra-event parallel path for large engines, where per-publish
-    /// latency otherwise grows linearly with the shard count.
-    ///
-    /// Shard 0 is matched inline on the calling thread (into the
-    /// caller's `scratch`); every other shard runs on its own scoped
-    /// thread with a warm scratch drawn from `scratches`. Results merge
-    /// in **shard order**, so the matched ids in
-    /// [`MatchScratch::matched`] and the summed [`MatchStats`] are
-    /// bit-identical to the sequential [`FilterEngine::match_event_into`]
-    /// walk no matter how the workers interleave. With one shard this
-    /// *is* the sequential walk.
-    ///
-    /// Because the engine is a plain borrowed value, the fan-out uses
-    /// [`std::thread::scope`] (one short-lived thread per remote shard
-    /// per call). The broker's publish pipeline performs the same
-    /// fan-out spawn-free on a persistent [`crate::WorkerPool`], which
-    /// is the form hot paths should use; this method is the
-    /// self-contained equivalent for standalone engines, tests and
-    /// harnesses.
-    // lint: hot-path — the standalone parallel matching walk; the
-    // expects below keep translation↔engine desync loud rather than
-    // silently diverging from the sequential walk.
-    pub fn match_event_parallel(
-        &self,
-        event: &Event,
-        scratches: &ScratchPool,
-        scratch: &mut MatchScratch,
-    ) -> MatchStats {
-        if self.shards.len() == 1 {
-            return self.match_event_into(event, scratch);
-        }
-        let mut remote: Vec<Option<(Option<PooledScratch<'_>>, MatchStats)>> =
-            (1..self.shards.len()).map(|_| None).collect();
-        let mut stats = MatchStats::default();
-        std::thread::scope(|scope| {
-            for (slot_shard, slot) in self.shards[1..].iter().zip(remote.iter_mut()) {
-                scope.spawn(move || {
-                    let engine = &slot_shard.engine;
-                    // Same pruning decision as the sequential walk: a
-                    // shard with provably zero candidates contributes an
-                    // empty result without even leasing a scratch.
-                    if !slot_shard.synopsis.admits(event) {
-                        let pruned = MatchStats {
-                            shards_pruned: 1,
-                            ..MatchStats::default()
-                        };
-                        *slot = Some((None, pruned));
-                        return;
-                    }
-                    let mut lease = scratches.checkout(engine);
-                    let stats = engine.match_event_into(event, &mut lease);
-                    // Translate to global ids in place through the
-                    // shard's own map — the merge below then just
-                    // concatenates, and no worker touches any shared
-                    // routing state. On this single-owner path every
-                    // matched local is live; the expect keeps a broken
-                    // translation↔engine sync loud instead of silently
-                    // diverging from the sequential walk.
-                    lease.translate_matched(|local| {
-                        Some(
-                            slot_shard
-                                .translation
-                                .global_of(local)
-                                // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                                .expect("matched locals hold live translation entries"),
-                        )
-                    });
-                    *slot = Some((Some(lease), stats));
-                });
-            }
-            // Shard 0 inline, into the caller's scratch (clearing any
-            // stale matched ids when the synopsis prunes the shard).
-            if self.shards[0].synopsis.admits(event) {
-                stats = self.shards[0].engine.match_event_into(event, scratch);
-            } else {
-                scratch.matched.clear();
-                stats.shards_pruned += 1;
-            }
-        });
-        scratch.translate_matched(|local| {
-            Some(
-                self.shards[0]
-                    .translation
-                    .global_of(local)
-                    // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                    .expect("matched locals hold live translation entries"),
-            )
-        });
-        let mut matched = std::mem::take(&mut scratch.matched);
-        for slot in &mut remote {
-            // lint: allow(panic-policy, reason = "scope join guarantees every spawned worker filled its slot")
-            let (lease, shard_stats) = slot.take().expect("scoped worker fills its slot");
-            stats = stats + shard_stats;
-            if let Some(lease) = lease {
-                matched.extend_from_slice(lease.matched());
-            }
-        }
-        scratch.matched = matched;
-        stats
-    }
-
-    /// [`FilterEngine::match_batch`], with the per-shard batch matching
-    /// fanned out across threads: each worker takes the **whole batch**
-    /// for its shard — pruning it through the shard synopsis once per
-    /// batch, then running the shard engine's batch kernel — and
-    /// results merge per event in shard order, so the per-event matched
-    /// sets and the summed [`MatchStats`] equal the sequential
-    /// [`FilterEngine::match_batch`] walk. Shard 0 runs inline into the
-    /// caller's `batch`; every other shard leases a warm
-    /// [`BatchScratch`] from `scratches`. With one shard this *is* the
-    /// sequential walk.
-    pub fn match_batch_parallel(
-        &self,
-        events: &[Arc<Event>],
-        skip: &[bool],
-        scratches: &BatchScratchPool,
-        batch: &mut BatchScratch,
-    ) -> MatchStats {
-        if self.shards.len() == 1 {
-            return self.match_batch(events, skip, batch);
-        }
-        let mut remote: Vec<Option<(Option<PooledBatchScratch<'_>>, MatchStats)>> =
-            (1..self.shards.len()).map(|_| None).collect();
-        let mut stats = MatchStats::default();
-        std::thread::scope(|scope| {
-            for (slot_shard, slot) in self.shards[1..].iter().zip(remote.iter_mut()) {
-                scope.spawn(move || {
-                    let engine = &slot_shard.engine;
-                    let mut lease = scratches.checkout(engine);
-                    let mut shard_skip = std::mem::take(&mut lease.shard_skip);
-                    let pruned = slot_shard
-                        .synopsis
-                        .admits_batch(events, skip, &mut shard_skip);
-                    let mut shard_stats = MatchStats {
-                        shards_pruned: pruned,
-                        ..MatchStats::default()
-                    };
-                    if shard_skip.iter().all(|&sk| sk) {
-                        // Every event pruned: the lease goes straight
-                        // back to the pool without any matching work.
-                        lease.shard_skip = shard_skip;
-                        *slot = Some((None, shard_stats));
-                        return;
-                    }
-                    shard_stats = shard_stats + engine.match_batch(events, &shard_skip, &mut lease);
-                    lease.shard_skip = shard_skip;
-                    // Translate to global ids in place through the
-                    // shard's own map, as on the per-event parallel
-                    // path.
-                    for m in lease.matched.iter_mut().take(events.len()) {
-                        for id in m.iter_mut() {
-                            *id = slot_shard
-                                .translation
-                                .global_of(*id)
-                                // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                                .expect("matched locals hold live translation entries");
-                        }
-                    }
-                    *slot = Some((Some(lease), shard_stats));
-                });
-            }
-            // Shard 0 inline, into the caller's batch scratch.
-            let shard0 = &self.shards[0];
-            let mut shard_skip = std::mem::take(&mut batch.shard_skip);
-            stats.shards_pruned += shard0.synopsis.admits_batch(events, skip, &mut shard_skip);
-            if shard_skip.iter().all(|&sk| sk) {
-                // Clear any stale per-event output when the whole batch
-                // is pruned for shard 0.
-                batch.begin_batch(events.len());
-            } else {
-                stats = stats + shard0.engine.match_batch(events, &shard_skip, batch);
-                for m in batch.matched.iter_mut().take(events.len()) {
-                    for id in m.iter_mut() {
-                        *id = shard0
-                            .translation
-                            .global_of(*id)
-                            // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-                            .expect("matched locals hold live translation entries");
-                    }
-                }
-            }
-            batch.shard_skip = shard_skip;
-        });
-        for slot in &mut remote {
-            // lint: allow(panic-policy, reason = "scope join guarantees every spawned worker filled its slot")
-            let (lease, shard_stats) = slot.take().expect("scoped worker fills its slot");
-            stats = stats + shard_stats;
-            if let Some(lease) = lease {
-                for (e, m) in batch.matched.iter_mut().enumerate().take(events.len()) {
-                    m.extend_from_slice(&lease.matched[e]);
-                }
-            }
-        }
-        stats
-    }
-
-    /// Translation of one shard's matched local id through that
-    /// shard's own map; matched locals are always live on this
-    /// single-owner engine.
-    fn global_of(&self, shard: usize, local: SubscriptionId) -> SubscriptionId {
-        self.shards[shard]
-            .translation
-            .global_of(local)
-            // lint: allow(panic-policy, reason = "single-owner invariant: every matched local has a live translation entry")
-            .expect("matched locals hold live translation entries")
-    }
-    // lint: end-hot-path
 }
 
 impl fmt::Debug for ShardedEngine {
@@ -568,44 +422,28 @@ impl fmt::Debug for ShardedEngine {
 
 impl FilterEngine for ShardedEngine {
     fn kind(&self) -> EngineKind {
-        self.shards[0].engine.kind()
+        self.shards[0].engine().kind()
     }
 
     fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-        let shard = match self.placement {
-            PlacementPolicy::LeastLoaded => self.directory.place(),
-            PlacementPolicy::ClusterByAttribute => match dominant_eq_attr(expr) {
-                Some(attr) => self.directory.place_clustered(attribute_hash(attr)),
-                None => self.directory.place(),
-            },
-        };
-        match self.shards[shard].engine.subscribe(expr) {
-            Ok(local) => {
-                let global = self.directory.commit(shard, local, Arc::new(expr.clone()));
-                self.shards[shard].translation.set(local, global);
-                self.shards[shard].synopsis.insert(local, expr);
-                Ok(global)
-            }
-            Err(e) => {
-                self.directory.cancel(shard);
-                Err(e)
-            }
+        let shard = self.directory.place_for(self.placement, expr);
+        let directory = &mut self.directory;
+        let result = self.shards[shard].subscribe(expr, |local| {
+            directory.commit(shard, local, Arc::new(expr.clone()))
+        });
+        if result.is_err() {
+            self.directory.cancel(shard);
         }
+        result
     }
 
     fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
-        let Some((shard, local)) = self.directory.placement_of(id) else {
+        let Some((shard, local, _expr)) = self.directory.retire(id) else {
             // Errors surface in the caller's (global) id space.
             return Err(UnsubscribeError::UnknownSubscription(id));
         };
-        self.shards[shard]
-            .engine
-            .unsubscribe(local)
-            .expect("directory and shard engines are kept in sync");
-        self.directory.retire(id);
-        let cleared = self.shards[shard].translation.clear_if(local, id);
-        debug_assert!(cleared, "translation and directory are kept in sync");
-        self.shards[shard].synopsis.remove(local);
+        let retired = self.shards[shard].retire(local, id);
+        debug_assert!(retired, "translation and directory are kept in sync");
         Ok(())
     }
 
@@ -616,7 +454,7 @@ impl FilterEngine for ShardedEngine {
         // `match_event_into` — never materialises global predicate ids.
         let mut local = FulfilledSet::new();
         for (s, shard) in self.shards.iter().enumerate() {
-            shard.engine.phase1(event, &mut local);
+            shard.engine().phase1(event, &mut local);
             for &id in local.ids() {
                 out.insert(self.pred_router.global_pred(s, id));
             }
@@ -636,7 +474,8 @@ impl FilterEngine for ShardedEngine {
         for (s, shard) in self.shards.iter().enumerate() {
             // Project the global fulfilled set onto this shard's
             // predicate space.
-            let universe = shard.engine.predicate_universe();
+            let engine = shard.engine();
+            let universe = engine.predicate_universe();
             local.begin(universe);
             for &g in fulfilled.ids() {
                 let (owner, pred) = self.pred_router.split_pred(g);
@@ -644,8 +483,19 @@ impl FilterEngine for ShardedEngine {
                     local.insert(pred);
                 }
             }
-            stats = stats + shard.engine.phase2(&local, scratch, &mut shard_out);
-            matched.extend(shard_out.iter().map(|&l| self.global_of(s, l)));
+            let shard_stats = engine.phase2(&local, scratch, &mut shard_out);
+            let before = matched.len();
+            matched.extend(
+                shard_out
+                    .iter()
+                    .filter_map(|&l| shard.translation().global_of(l)),
+            );
+            debug_assert_eq!(
+                matched.len() - before,
+                shard_stats.matched,
+                "matched locals hold live translation entries"
+            );
+            stats = stats + shard_stats;
         }
         scratch.shard_fulfilled = local;
         scratch.shard_matched = shard_out;
@@ -655,32 +505,27 @@ impl FilterEngine for ShardedEngine {
     // lint: hot-path — the sequential matching walk, including the
     // synopsis prune decision: per-shard state only, no global locks.
     fn match_event_into(&self, event: &Event, scratch: &mut MatchScratch) -> MatchStats {
-        // Per shard: phase 1 straight into phase 2, all in the shard's
-        // own (local) id spaces — no translation of predicate ids, no
-        // allocation in steady state. Only matched ids are mapped to
-        // the global space (one lookup in the shard's own translation
-        // map each), into the accumulating `matched` buffer.
-        let mut fulfilled = std::mem::take(&mut scratch.fulfilled);
-        let mut matched = std::mem::take(&mut scratch.matched);
-        let mut shard_out = std::mem::take(&mut scratch.shard_matched);
-        matched.clear();
+        // Each shard matches into `scratch.matched` and translates it in
+        // place; the global ids accumulate in the `shard_matched`
+        // buffer, which then trades places with `matched` — no
+        // allocation in steady state.
+        let mut acc = std::mem::take(&mut scratch.shard_matched);
+        acc.clear();
         let mut stats = MatchStats::default();
-        for (s, shard) in self.shards.iter().enumerate() {
-            // Content-aware pruning: a shard whose synopsis proves zero
-            // candidates is skipped before either phase runs. The
-            // synopsis is conservative, so the matched set is identical
-            // to the unpruned walk.
-            if !shard.synopsis.admits(event) {
-                stats.shards_pruned += 1;
-                continue;
+        for shard in &self.shards {
+            let reborrow = &mut *scratch;
+            let (shard_stats, matched) = shard.match_event(event, move |_| reborrow);
+            if let Some(matched) = matched {
+                debug_assert_eq!(
+                    matched.matched.len(),
+                    shard_stats.matched,
+                    "matched locals hold live translation entries"
+                );
+                acc.extend_from_slice(&matched.matched);
             }
-            shard.engine.phase1(event, &mut fulfilled);
-            stats = stats + shard.engine.phase2(&fulfilled, scratch, &mut shard_out);
-            matched.extend(shard_out.iter().map(|&l| self.global_of(s, l)));
+            stats = stats + shard_stats;
         }
-        scratch.fulfilled = fulfilled;
-        scratch.matched = matched;
-        scratch.shard_matched = shard_out;
+        scratch.shard_matched = std::mem::replace(&mut scratch.matched, acc);
         stats
     }
 
@@ -693,11 +538,11 @@ impl FilterEngine for ShardedEngine {
         // Per shard: prune the whole batch through the synopsis once,
         // then hand the surviving events to the shard engine's batch
         // kernel in one call — the association tables are walked once
-        // per (shard, chunk) instead of once per (shard, event). Local
-        // matched ids are translated into the per-event global
-        // accumulator as each shard completes, so `batch.matched` ends
-        // up identical (as per-event sets) to the per-event walk.
-        batch.begin_batch(events.len());
+        // per (shard, chunk) instead of once per (shard, event). Each
+        // shard's translated ids are appended to the per-event
+        // accumulator, which finally trades places with
+        // `batch.matched`, so the per-event sets equal the per-event
+        // walk's.
         let mut acc = std::mem::take(&mut batch.shard_matched);
         if acc.len() < events.len() {
             acc.resize_with(events.len(), Vec::new);
@@ -707,18 +552,24 @@ impl FilterEngine for ShardedEngine {
         }
         let mut shard_skip = std::mem::take(&mut batch.shard_skip);
         let mut stats = MatchStats::default();
-        for (s, shard) in self.shards.iter().enumerate() {
-            stats.shards_pruned += shard.synopsis.admits_batch(events, skip, &mut shard_skip);
-            if shard_skip.iter().all(|&sk| sk) {
-                continue;
+        for shard in &self.shards {
+            let reborrow = &mut *batch;
+            let (shard_stats, matched) =
+                shard.match_batch(events, skip, &mut shard_skip, move |_| reborrow);
+            if let Some(matched) = matched {
+                let mut kept = 0;
+                for (out, ids) in acc.iter_mut().zip(&matched.matched).take(events.len()) {
+                    out.extend_from_slice(ids);
+                    kept += ids.len();
+                }
+                debug_assert_eq!(
+                    kept, shard_stats.matched,
+                    "matched locals hold live translation entries"
+                );
             }
-            stats = stats + shard.engine.match_batch(events, &shard_skip, batch);
-            for (e, out) in acc.iter_mut().enumerate().take(events.len()) {
-                out.extend(batch.matched[e].iter().map(|&l| self.global_of(s, l)));
-            }
+            stats = stats + shard_stats;
         }
-        std::mem::swap(&mut batch.matched, &mut acc);
-        batch.shard_matched = acc;
+        batch.shard_matched = std::mem::replace(&mut batch.matched, acc);
         batch.shard_skip = shard_skip;
         stats
     }
@@ -727,18 +578,17 @@ impl FilterEngine for ShardedEngine {
     fn subscription_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.engine.subscription_count())
+            .map(|s| s.engine().subscription_count())
             .sum()
     }
 
     fn subscription_id_bound(&self) -> usize {
         // Scratch buffers serve two id spaces here: global ids (the
         // directory's issued slot bound) and each shard's local ids
-        // (the inner phase-2 stamp space, which migration churn can
-        // grow past the global bound). Cover both.
+        // (the inner phase-2 stamp space). Cover both.
         self.shards
             .iter()
-            .map(|s| s.engine.subscription_id_bound())
+            .map(|s| s.engine().subscription_id_bound())
             .max()
             .unwrap_or(0)
             .max(self.directory.id_bound())
@@ -747,7 +597,7 @@ impl FilterEngine for ShardedEngine {
     fn registered_units(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.engine.registered_units())
+            .map(|s| s.engine().registered_units())
             .sum()
     }
 
@@ -757,7 +607,7 @@ impl FilterEngine for ShardedEngine {
         // per-shard maximum is exactly what pre-sizing needs.
         self.shards
             .iter()
-            .map(|s| s.engine.unit_slot_bound())
+            .map(|s| s.engine().unit_slot_bound())
             .max()
             .unwrap_or(0)
     }
@@ -765,31 +615,30 @@ impl FilterEngine for ShardedEngine {
     fn predicate_count(&self) -> usize {
         // Shards intern independently: a predicate shared by
         // subscriptions on different shards is counted once per shard.
-        self.shards.iter().map(|s| s.engine.predicate_count()).sum()
+        self.shards
+            .iter()
+            .map(|s| s.engine().predicate_count())
+            .sum()
     }
 
     fn predicate_universe(&self) -> usize {
         self.pred_router
-            .global_bound(self.shards.iter().map(|s| s.engine.predicate_universe()))
+            .global_bound(self.shards.iter().map(|s| s.engine().predicate_universe()))
     }
 
     fn memory_usage(&self) -> MemoryUsage {
         // The sharding layer's own overhead — the write-side directory
-        // (slot table + stored expressions for migration) plus every
-        // shard's read-side translation map and attribute synopsis — is
-        // reported as unsubscription/rebalancing support.
+        // (slot table + stored expressions) plus every shard's
+        // translation map and attribute synopsis — is reported as
+        // unsubscription/rebalancing support.
         let routing = MemoryUsage {
             unsub_support: self.directory.heap_bytes()
-                + self
-                    .shards
-                    .iter()
-                    .map(|s| s.translation.heap_bytes() + s.synopsis.heap_bytes())
-                    .sum::<usize>(),
+                + self.shards.iter().map(Shard::heap_bytes).sum::<usize>(),
             ..MemoryUsage::default()
         };
         self.shards
             .iter()
-            .map(|s| s.engine.memory_usage())
+            .map(|s| s.engine().memory_usage())
             .fold(routing, |a, b| a + b)
     }
 }
@@ -894,12 +743,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_agrees_with_per_event_walk_and_parallel_fanout() {
-        // Sequential match_batch, the parallel batch fan-out, and the
-        // per-event walk must agree on ids (as per-event sets) and on
-        // summed stats — including shards_pruned, which the batch paths
-        // account per (event, shard) through the synopsis.
-        let scratches = BatchScratchPool::new(8);
+    fn batch_agrees_with_per_event_walk() {
+        // Sequential match_batch and the per-event walk must agree on
+        // ids (as per-event sets) and on summed stats — including
+        // shards_pruned, which the batch path accounts per (event,
+        // shard) through the synopsis.
         for kind in EngineKind::ALL {
             for shards in [1usize, 3, 8] {
                 let mut engine = ShardedEngine::new(kind, shards)
@@ -927,28 +775,15 @@ mod tests {
                 }
 
                 let mut batch = BatchScratch::new();
-                for parallel in [false, true] {
-                    let stats = if parallel {
-                        engine.match_batch_parallel(&events, &[], &scratches, &mut batch)
-                    } else {
-                        engine.match_batch(&events, &[], &mut batch)
-                    };
-                    for (e, want_ids) in want.iter().enumerate() {
-                        let mut got = batch.matched(e).to_vec();
-                        got.sort_unstable();
-                        assert_eq!(
-                            &got, want_ids,
-                            "kind={kind} shards={shards} parallel={parallel} event {e}"
-                        );
-                    }
-                    let mut stats = stats;
-                    stats.batch_events = 0;
-                    stats.batch_passes = 0;
-                    assert_eq!(
-                        stats, scalar_total,
-                        "kind={kind} shards={shards} parallel={parallel}"
-                    );
+                let mut stats = engine.match_batch(&events, &[], &mut batch);
+                for (e, want_ids) in want.iter().enumerate() {
+                    let mut got = batch.matched(e).to_vec();
+                    got.sort_unstable();
+                    assert_eq!(&got, want_ids, "kind={kind} shards={shards} event {e}");
                 }
+                stats.batch_events = 0;
+                stats.batch_passes = 0;
+                assert_eq!(stats, scalar_total, "kind={kind} shards={shards}");
             }
         }
     }
@@ -1006,79 +841,49 @@ mod tests {
     #[test]
     fn migration_keeps_ids_and_matches_stable() {
         for kind in EngineKind::ALL {
-            let mut engine = ShardedEngine::new(kind, 3);
-            let ids: Vec<_> = exprs(12)
+            let mut engine = ShardedEngine::new(kind, 2);
+            let ids: Vec<_> = exprs(8)
                 .iter()
                 .map(|e| engine.subscribe(e).unwrap())
                 .collect();
-            // Skew the loads: drain shard 1 (arrivals 1, 4, 7, 10).
-            for &i in &[1usize, 4, 7, 10] {
-                engine.unsubscribe(ids[i]).unwrap();
-            }
-            assert_eq!(engine.directory().loads(), &[4, 0, 4]);
             let event = ev(&[("boost", 1), ("tick", 100)]);
             let before = matched(&engine, &event);
             assert_eq!(before.len(), 8, "every live subscription matches");
 
-            // One bounded step ([4,0,4] → [3,1,4]), then the rest.
-            assert_eq!(engine.migrate(1), 1);
-            assert_eq!(engine.directory().imbalance(), 3, "one move narrows it");
-            let moved = engine.rebalance();
-            assert!(moved >= 1, "kind={kind}");
-            assert!(engine.directory().is_balanced(), "kind={kind}");
+            // A refused commit (the subscription was retired meanwhile)
+            // undoes the target-side copy and changes nothing.
+            let (global, local) = engine.shards[0].translation().last_resident().unwrap();
+            let expr = Arc::clone(engine.directory.expr_of(global).unwrap());
+            let (source, target) = engine.shards.split_at_mut(1);
             assert_eq!(
-                engine.directory().loads().iter().sum::<usize>(),
-                8,
-                "no subscription lost"
+                source[0].move_to(&mut target[0], global, local, &expr, |_| false),
+                Ok(false)
             );
-            assert_eq!(
-                engine.shard_subscription_counts(),
-                engine.directory().loads(),
-                "engines and directory agree"
-            );
-
-            // Same global ids match, before and after migration.
+            assert_eq!(engine.shard_subscription_counts(), vec![4, 4]);
+            assert_eq!(engine.synopsis(1).live(), 4);
             assert_eq!(matched(&engine, &event), before, "kind={kind}");
-            assert_eq!(engine.rebalance(), 0, "already balanced");
-        }
-    }
 
-    #[test]
-    fn resize_grows_and_shrinks_incrementally() {
-        for kind in EngineKind::ALL {
-            let mut engine = ShardedEngine::new(kind, 3);
-            for e in exprs(12) {
-                engine.subscribe(&e).unwrap();
+            // Committed moves — directory first, as the broker's live
+            // migration commits — drain shard 0 without touching any id.
+            while let Some((global, local)) = engine.shards[0].translation().last_resident() {
+                let expr = Arc::clone(engine.directory.expr_of(global).unwrap());
+                let (source, target) = engine.shards.split_at_mut(1);
+                let directory = &mut engine.directory;
+                let moved = source[0].move_to(&mut target[0], global, local, &expr, |new_local| {
+                    directory.relocate(global, 0, local, 1, new_local)
+                });
+                assert_eq!(moved, Ok(true));
             }
-            let event = ev(&[("boost", 1), ("tick", 100)]);
-            let before = matched(&engine, &event);
-            assert_eq!(before.len(), 12);
+            assert_eq!(engine.directory().loads(), &[0, 8]);
+            assert_eq!(engine.shard_subscription_counts(), vec![0, 8]);
+            assert_eq!(engine.synopsis(0).live(), 0);
+            assert_eq!(engine.synopsis(1).live(), 8);
+            assert!(engine.translation(0).is_empty());
+            assert_eq!(matched(&engine, &event), before, "kind={kind}");
 
-            // Grow: new shards start empty; rebalance spreads onto them.
-            assert_eq!(engine.resize(5), 0);
-            assert_eq!(engine.shard_count(), 5);
-            assert_eq!(engine.directory().loads(), &[4, 4, 4, 0, 0]);
-            assert_eq!(matched(&engine, &event), before, "grow, kind={kind}");
-            engine.rebalance();
-            assert!(engine.directory().is_balanced());
-            assert_eq!(matched(&engine, &event), before, "spread, kind={kind}");
-
-            // Shrink below the original count: dying shards drain onto
-            // the survivors one at a time.
-            let moved = engine.resize(2);
-            assert!(moved >= 1);
-            assert_eq!(engine.shard_count(), 2);
-            assert_eq!(engine.directory().loads().iter().sum::<usize>(), 12);
-            assert_eq!(matched(&engine, &event), before, "shrink, kind={kind}");
-
-            // All the way to one shard — flat again.
-            engine.resize(1);
-            assert_eq!(engine.shard_count(), 1);
-            assert_eq!(matched(&engine, &event), before, "flat, kind={kind}");
-
-            // Ids survived every move: unsubscribe still routes.
-            engine.unsubscribe(before[0]).unwrap();
-            assert_eq!(engine.subscription_count(), 11);
+            // Ids survived the moves: unsubscribe still routes.
+            engine.unsubscribe(ids[0]).unwrap();
+            assert_eq!(engine.subscription_count(), 7);
         }
     }
 
@@ -1158,47 +963,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matching_is_identical_to_sequential() {
-        let scratches = ScratchPool::new(8);
-        for kind in EngineKind::ALL {
-            for shards in [1usize, 3, 8] {
-                let mut engine = ShardedEngine::new(kind, shards);
-                let ids: Vec<_> = exprs(24)
-                    .iter()
-                    .map(|e| engine.subscribe(e).unwrap())
-                    .collect();
-                // Skew shard 0, then rebalance, so the parallel walk
-                // also exercises post-migration reverse maps.
-                engine.unsubscribe(ids[0]).unwrap();
-                engine.unsubscribe(ids[shards]).unwrap();
-                engine.rebalance();
-                let mut seq = MatchScratch::new();
-                let mut par = MatchScratch::new();
-                for t in 0..30 {
-                    let event = ev(&[("group", t % 5), ("tick", t * 2)]);
-                    let seq_stats = engine.match_event_into(&event, &mut seq);
-                    let par_stats = engine.match_event_parallel(&event, &scratches, &mut par);
-                    // Bit-identical: same ids in the same order, and
-                    // the same reconciled stats.
-                    assert_eq!(
-                        seq.matched(),
-                        par.matched(),
-                        "kind={kind} shards={shards} t={t}"
-                    );
-                    assert_eq!(seq_stats, par_stats, "kind={kind} shards={shards} t={t}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn pruning_skips_zero_candidate_shards_and_preserves_matches() {
         // Clustered placement on a partitionable workload: every
         // subscription's dominant equality attribute names its group, so
         // each group lands on one shard and an event carrying a single
         // group attribute can candidate at most one shard (plus any
         // always-candidate shards — none here).
-        let scratches = ScratchPool::new(8);
         for kind in EngineKind::ALL {
             let mut flat = Matcher::new(kind.build());
             let mut engine =
@@ -1214,7 +984,6 @@ mod tests {
                 assert_eq!(a, b, "arrival-order ids stay aligned");
             }
             let mut seq = MatchScratch::new();
-            let mut par = MatchScratch::new();
             let mut pruned_total = 0usize;
             for g in 0..8i64 {
                 let event = Event::from_pairs([(format!("g{g}"), 1i64), ("seq".to_string(), 3i64)]);
@@ -1224,8 +993,6 @@ mod tests {
                     ids
                 };
                 let seq_stats = engine.match_event_into(&event, &mut seq);
-                let par_stats = engine.match_event_parallel(&event, &scratches, &mut par);
-                assert_eq!(seq_stats, par_stats, "kind={kind} g={g}");
                 let mut got = seq.matched().to_vec();
                 got.sort_unstable();
                 assert_eq!(got, flat_ids, "pruning changed the answer, kind={kind}");
@@ -1246,46 +1013,6 @@ mod tests {
                 0
             );
         }
-    }
-
-    #[test]
-    fn synopsis_tracks_churn_migration_and_resize() {
-        let mut engine = ShardedEngine::new(EngineKind::NonCanonical, 3)
-            .with_placement(PlacementPolicy::ClusterByAttribute);
-        let exprs: Vec<Expr> = (0..18)
-            .map(|i| Expr::parse(&format!("topic = {} and n >= {}", i % 6, i)).unwrap())
-            .collect();
-        let ids: Vec<_> = exprs.iter().map(|e| engine.subscribe(e).unwrap()).collect();
-        // Churn, then force migrations and a resize ladder.
-        for &i in &[1usize, 4, 9, 16] {
-            engine.unsubscribe(ids[i]).unwrap();
-        }
-        engine.rebalance();
-        engine.resize(5);
-        engine.resize(2);
-        engine.resize(3);
-        engine.rebalance();
-
-        // Every resident must still be covered by its shard's synopsis:
-        // matching an event tailored to each surviving subscription
-        // still finds it, with pruning active on every walk.
-        let mut scratch = MatchScratch::new();
-        for (i, (id, expr)) in ids.iter().zip(&exprs).enumerate() {
-            if [1usize, 4, 9, 16].contains(&i) {
-                continue;
-            }
-            let event = ev(&[("topic", (i % 6) as i64), ("n", i as i64)]);
-            let result = engine.match_event(&event, &mut scratch);
-            assert!(
-                result.matched.contains(id),
-                "survivor {i} lost to over-pruning: {expr}"
-            );
-        }
-        // And the synopsis live counts reconcile with the directory.
-        let live: usize = (0..engine.shard_count())
-            .map(|s| engine.synopsis(s).live())
-            .sum();
-        assert_eq!(live, engine.subscription_count());
     }
 
     #[test]
@@ -1315,95 +1042,6 @@ mod tests {
         let stats = engine.match_event(&ev(&[("k", 1)]), &mut scratch).stats;
         assert_eq!(stats.matched, 1);
         assert_eq!(stats.shards_pruned, 3, "three empty shards skipped");
-    }
-
-    #[test]
-    fn parallel_matching_merges_in_shard_order_despite_stalls() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        // Shard 0 runs inline and is forced to finish *after* the
-        // remote shards by a spin gate inside its phase 1; the merge
-        // must still put shard 0's ids first.
-        struct GatedEngine {
-            inner: Box<dyn FilterEngine + Send + Sync>,
-            wait_for: Option<Arc<AtomicBool>>,
-            announce: Option<Arc<AtomicBool>>,
-        }
-
-        impl FilterEngine for GatedEngine {
-            fn kind(&self) -> EngineKind {
-                self.inner.kind()
-            }
-            fn subscribe(&mut self, expr: &Expr) -> Result<SubscriptionId, SubscribeError> {
-                self.inner.subscribe(expr)
-            }
-            fn unsubscribe(&mut self, id: SubscriptionId) -> Result<(), UnsubscribeError> {
-                self.inner.unsubscribe(id)
-            }
-            fn phase1(&self, event: &Event, out: &mut FulfilledSet) {
-                if let Some(gate) = &self.wait_for {
-                    while !gate.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                }
-                self.inner.phase1(event, out);
-                if let Some(flag) = &self.announce {
-                    flag.store(true, Ordering::Release);
-                }
-            }
-            fn phase2(
-                &self,
-                fulfilled: &FulfilledSet,
-                scratch: &mut MatchScratch,
-                matched: &mut Vec<SubscriptionId>,
-            ) -> MatchStats {
-                self.inner.phase2(fulfilled, scratch, matched)
-            }
-            fn subscription_count(&self) -> usize {
-                self.inner.subscription_count()
-            }
-            fn subscription_id_bound(&self) -> usize {
-                self.inner.subscription_id_bound()
-            }
-            fn registered_units(&self) -> usize {
-                self.inner.registered_units()
-            }
-            fn unit_slot_bound(&self) -> usize {
-                self.inner.unit_slot_bound()
-            }
-            fn predicate_count(&self) -> usize {
-                self.inner.predicate_count()
-            }
-            fn predicate_universe(&self) -> usize {
-                self.inner.predicate_universe()
-            }
-            fn memory_usage(&self) -> MemoryUsage {
-                self.inner.memory_usage()
-            }
-        }
-
-        let remote_done = Arc::new(AtomicBool::new(false));
-        let mut engine = ShardedEngine::from_engines(vec![
-            Box::new(GatedEngine {
-                inner: EngineKind::NonCanonical.build(),
-                wait_for: Some(remote_done.clone()),
-                announce: None,
-            }),
-            Box::new(GatedEngine {
-                inner: EngineKind::NonCanonical.build(),
-                wait_for: None,
-                announce: Some(remote_done.clone()),
-            }),
-        ]);
-        let a = engine.subscribe(&Expr::parse("hit = 1").unwrap()).unwrap(); // shard 0
-        let b = engine.subscribe(&Expr::parse("hit = 1").unwrap()).unwrap(); // shard 1
-        let scratches = ScratchPool::new(2);
-        let mut scratch = MatchScratch::new();
-        let stats = engine.match_event_parallel(&ev(&[("hit", 1)]), &scratches, &mut scratch);
-        // Shard 1 provably finished first (it opened the gate shard 0
-        // spins on), yet the merge is still shard 0 then shard 1.
-        assert_eq!(scratch.matched(), &[a, b]);
-        assert_eq!(stats.matched, 2);
     }
 
     #[test]

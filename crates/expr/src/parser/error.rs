@@ -36,6 +36,9 @@ pub(crate) enum ErrorKind {
     StringOperatorNeedsString {
         op: &'static str,
     },
+    TooDeep {
+        limit: usize,
+    },
 }
 
 impl ParseError {
@@ -72,6 +75,9 @@ impl fmt::Display for ParseError {
             }
             ErrorKind::StringOperatorNeedsString { op } => {
                 write!(f, "operator `{op}` requires a string literal")?;
+            }
+            ErrorKind::TooDeep { limit } => {
+                write!(f, "expression nested deeper than {limit} levels")?;
             }
         }
         write!(f, " at byte {}", self.offset)

@@ -26,17 +26,26 @@ use crate::{Expr, Predicate};
 use error::ErrorKind;
 use lexer::{Lexer, Token, TokenKind};
 
+/// The deepest nesting of parentheses and `not`s a subscription may
+/// use. The parser recurses once per level, so without a bound a
+/// hostile subscription (say 100,000 `not`s) would overflow the stack
+/// and abort the process; past this depth [`parse`] returns an error
+/// instead.
+pub const MAX_NESTING: usize = 128;
+
 /// Parses a subscription expression; see [`crate::Expr::parse`].
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with the byte offset of the offending token.
+/// Returns a [`ParseError`] with the byte offset of the offending token,
+/// including for input nested deeper than [`MAX_NESTING`].
 pub fn parse(input: &str) -> Result<Expr, ParseError> {
     let tokens = Lexer::new(input).tokenize()?;
     let mut p = Parser {
         tokens,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     let expr = p.or_expr()?;
     match p.peek() {
@@ -54,6 +63,8 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     input_len: usize,
+    /// Open parentheses and `not`s enclosing the current position.
+    depth: usize,
 }
 
 impl Parser {
@@ -71,6 +82,20 @@ impl Parser {
 
     fn eof_error(&self, expected: &'static str) -> ParseError {
         ParseError::new(ErrorKind::UnexpectedEof { expected }, self.input_len)
+    }
+
+    /// Enters one nesting level opened by the token at `offset`.
+    /// Callers leave it with `self.depth -= 1` once the nested part has
+    /// parsed; an error ends the whole parse, so error paths need not.
+    fn descend(&mut self, offset: usize) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(
+                ErrorKind::TooDeep { limit: MAX_NESTING },
+                offset,
+            ));
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn or_expr(&mut self) -> Result<Expr, ParseError> {
@@ -92,9 +117,12 @@ impl Parser {
     }
 
     fn not_expr(&mut self) -> Result<Expr, ParseError> {
-        if matches!(self.peek(), Some(t) if t.kind == TokenKind::Not) {
+        if let Some(t) = self.peek().filter(|t| t.kind == TokenKind::Not) {
+            let offset = t.offset;
             self.next();
+            self.descend(offset)?;
             let inner = self.not_expr()?;
+            self.depth -= 1;
             return Ok(!(inner));
         }
         self.primary()
@@ -104,8 +132,11 @@ impl Parser {
         let t = self.peek().ok_or_else(|| self.eof_error("an expression"))?;
         match &t.kind {
             TokenKind::LParen => {
+                let offset = t.offset;
                 self.next();
+                self.descend(offset)?;
                 let inner = self.or_expr()?;
+                self.depth -= 1;
                 match self.next() {
                     Some(t) if t.kind == TokenKind::RParen => Ok(inner),
                     Some(t) => Err(ParseError::new(
@@ -292,6 +323,29 @@ mod tests {
     fn deeply_nested_parens() {
         let e = parse("((((a = 1))))").unwrap();
         assert!(matches!(e, Expr::Pred(_)));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let parens = |n: usize| format!("{}a = 1{}", "(".repeat(n), ")".repeat(n));
+        let nots = |n: usize| format!("{}a = 1", "not ".repeat(n));
+        assert!(matches!(
+            parse(&parens(MAX_NESTING)).unwrap(),
+            Expr::Pred(_)
+        ));
+        assert!(parse(&nots(MAX_NESTING)).is_ok());
+        let mixed = format!("{}a = 1{}", "not (".repeat(64), ")".repeat(64));
+        assert!(parse(&mixed).is_ok(), "64 of each is exactly the limit");
+
+        let err = parse(&parens(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.to_string().contains("nested deeper than 128"), "{err}");
+        assert_eq!(err.offset(), MAX_NESTING);
+        assert!(parse(&nots(MAX_NESTING + 1)).is_err());
+        assert!(parse(&format!("not {mixed}")).is_err());
+        // Hostile depths fail with the same error instead of
+        // overflowing the stack.
+        assert!(parse(&parens(10_000)).is_err());
+        assert!(parse(&nots(100_000)).is_err());
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The parallel publish pipeline's correctness claims, proven without
 //! relying on timing:
 //!
-//! * **Answer identity** — fanning one event out across shards must be
-//!   *bit-identical* to the sequential shard walk: same matched ids in
-//!   the same order, same reconciled [`MatchStats`]. Property-tested
-//!   over deterministic churn streams for every engine kind and
-//!   S ∈ {1, 3, 8} at the core level, and for forced-parallel vs
-//!   forced-sequential brokers (single publishes and batches).
+//! * **Answer identity** — fanning one event out across shards must
+//!   deliver exactly like the sequential shard walk. Property-tested
+//!   over deterministic churn streams for forced-parallel vs
+//!   forced-sequential brokers, every engine kind, single publishes
+//!   and batches.
 //! * **Batch answer identity** — the engines' batch kernels
-//!   (`match_batch`, sequential and parallel fan-out) replay churn
-//!   windows sweeping the 64-lane chunk boundary and must equal the
-//!   per-event walk, ids and stats, for every kind and S ∈ {1, 3, 8}.
+//!   (`match_batch` through a sharded engine) replay churn windows
+//!   sweeping the 64-lane chunk boundary and must equal the per-event
+//!   walk, ids and stats, for every kind and S ∈ {1, 3, 8}.
 //! * **Merge isolation** — a stalled worker on one shard can neither
 //!   corrupt nor reorder another shard's contribution to the merge:
 //!   results land by shard index, not completion order, and the other
@@ -26,68 +25,67 @@ use std::thread;
 use std::time::Duration;
 
 use boolmatch::core::{
-    BatchScratch, BatchScratchPool, FilterEngine, FulfilledSet, MatchScratch, MatchStats,
-    MemoryUsage, ScratchPool, SubscribeError, UnsubscribeError,
+    BatchScratch, FilterEngine, FulfilledSet, MatchScratch, MatchStats, MemoryUsage,
+    SubscribeError, UnsubscribeError,
 };
 use boolmatch::expr::Expr;
 use boolmatch::prelude::*;
 use boolmatch::workload::scenarios::{ChurnOp, ChurnScenario, StockScenario};
 
-/// Parallel fan-out must equal the sequential walk under subscription
-/// churn, for every engine kind and shard count — ids, order, stats.
+/// Parallel fan-out must deliver exactly like the sequential walk under
+/// subscription churn, for every engine kind and shard count: the same
+/// notification stream per subscriber, compared as each one
+/// unsubscribes and for the survivors at the end.
 #[test]
 fn parallel_matches_sequential_under_churn() {
     for kind in EngineKind::ALL {
-        for shards in [1usize, 3, 8] {
-            let mut engine = ShardedEngine::new(kind, shards);
-            let scratches = ScratchPool::new(shards);
-            let mut seq = MatchScratch::new();
-            let mut par = MatchScratch::new();
-            let mut live: Vec<SubscriptionId> = Vec::new();
+        for shards in [3usize, 8] {
+            let broker = |threshold| {
+                Broker::builder()
+                    .engine(kind)
+                    .shards(shards)
+                    .parallel_threshold(threshold)
+                    .build()
+            };
+            let (par, seq) = (broker(0), broker(usize::MAX));
+            let mut par_live: Vec<Subscription> = Vec::new();
+            let mut seq_live: Vec<Subscription> = Vec::new();
 
             let mut churn = ChurnScenario::new(31, 80);
             for (step, op) in churn.ops(1_500).into_iter().enumerate() {
+                let context = format!("kind={kind} shards={shards} step={step}");
                 match op {
                     ChurnOp::Subscribe(expr) => {
-                        live.push(engine.subscribe(&expr).expect("accepted"));
+                        par_live.push(par.subscribe_expr(&expr).unwrap());
+                        seq_live.push(seq.subscribe_expr(&expr).unwrap());
                     }
                     ChurnOp::Unsubscribe(i) => {
-                        engine.unsubscribe(live.remove(i)).expect("live id");
+                        let (a, b) = (par_live.remove(i), seq_live.remove(i));
+                        assert_eq!(a.drain(), b.drain(), "{context}");
                     }
                     ChurnOp::Publish(event) => {
-                        let seq_stats = engine.match_event_into(&event, &mut seq);
-                        let par_stats = engine.match_event_parallel(&event, &scratches, &mut par);
-                        assert_eq!(
-                            seq.matched(),
-                            par.matched(),
-                            "kind={kind} shards={shards} step={step}"
-                        );
-                        assert_eq!(
-                            seq_stats, par_stats,
-                            "stats reconcile: kind={kind} shards={shards} step={step}"
-                        );
+                        assert_eq!(par.publish(event.clone()), seq.publish(event), "{context}");
                     }
                 }
+            }
+            for (a, b) in par_live.iter().zip(&seq_live) {
+                assert_eq!(a.drain(), b.drain(), "kind={kind} shards={shards}");
             }
         }
     }
 }
 
 /// Matches every event of `window` per-event (the scalar reference),
-/// then through the sequential batch kernel and the parallel batch
-/// fan-out, and asserts both agree with the reference: the same ids
+/// then as one batch, and asserts the two agree: the same ids
 /// per event (as sets — batch kernels may permute within an event) and
 /// the same summed [`MatchStats`]. `batch_events`/`batch_passes` are
 /// zeroed before the stats comparison: they record the amortization
 /// itself and have no scalar counterpart.
-#[allow(clippy::too_many_arguments)]
 fn assert_batch_equals_per_event(
     engine: &ShardedEngine,
-    scratches: &BatchScratchPool,
     window: &[Arc<Event>],
     scratch: &mut MatchScratch,
-    seq_batch: &mut BatchScratch,
-    par_batch: &mut BatchScratch,
+    batch: &mut BatchScratch,
     context: &str,
 ) {
     if window.is_empty() {
@@ -101,27 +99,19 @@ fn assert_batch_equals_per_event(
         ids.sort_unstable();
         want.push(ids);
     }
-    let mut seq_stats = engine.match_batch(window, &[], seq_batch);
-    let mut par_stats = engine.match_batch_parallel(window, &[], scratches, par_batch);
+    let mut stats = engine.match_batch(window, &[], batch);
     for (e, want_ids) in want.iter().enumerate() {
-        let mut got = seq_batch.matched(e).to_vec();
+        let mut got = batch.matched(e).to_vec();
         got.sort_unstable();
-        assert_eq!(&got, want_ids, "sequential batch ids: {context} event {e}");
-        let mut got = par_batch.matched(e).to_vec();
-        got.sort_unstable();
-        assert_eq!(&got, want_ids, "parallel batch ids: {context} event {e}");
+        assert_eq!(&got, want_ids, "batch ids: {context} event {e}");
     }
-    seq_stats.batch_events = 0;
-    seq_stats.batch_passes = 0;
-    par_stats.batch_events = 0;
-    par_stats.batch_passes = 0;
-    assert_eq!(seq_stats, scalar_total, "sequential batch stats: {context}");
-    assert_eq!(par_stats, scalar_total, "parallel batch stats: {context}");
+    stats.batch_events = 0;
+    stats.batch_passes = 0;
+    assert_eq!(stats, scalar_total, "batch stats: {context}");
 }
 
 /// The batch kernels under churn: windows of the publish stream,
-/// matched as one batch (sequentially and through the parallel batch
-/// fan-out), must equal the per-event walk — ids and stats — for every
+/// matched as one batch, must equal the per-event walk — ids and stats — for every
 /// engine kind and S ∈ {1, 3, 8}, across subscribe/unsubscribe churn
 /// that recycles flat slots and retracts synopsis entries mid-stream.
 /// Window lengths sweep 1..=67, crossing the 64-lane chunk boundary so
@@ -130,11 +120,9 @@ fn assert_batch_equals_per_event(
 fn batch_matches_per_event_under_churn() {
     for kind in EngineKind::ALL {
         for shards in [1usize, 3, 8] {
-            let engine_scratches = BatchScratchPool::new(shards);
             let mut engine = ShardedEngine::new(kind, shards);
             let mut scratch = MatchScratch::new();
-            let mut seq_batch = BatchScratch::new();
-            let mut par_batch = BatchScratch::new();
+            let mut batch = BatchScratch::new();
             let mut live: Vec<SubscriptionId> = Vec::new();
             let mut window: Vec<Arc<Event>> = Vec::new();
             let mut window_cap = 1usize;
@@ -147,11 +135,9 @@ fn batch_matches_per_event_under_churn() {
                         // pending window.
                         assert_batch_equals_per_event(
                             &engine,
-                            &engine_scratches,
                             &window,
                             &mut scratch,
-                            &mut seq_batch,
-                            &mut par_batch,
+                            &mut batch,
                             &format!("kind={kind} shards={shards} step={step}"),
                         );
                         window.clear();
@@ -160,11 +146,9 @@ fn batch_matches_per_event_under_churn() {
                     ChurnOp::Unsubscribe(i) => {
                         assert_batch_equals_per_event(
                             &engine,
-                            &engine_scratches,
                             &window,
                             &mut scratch,
-                            &mut seq_batch,
-                            &mut par_batch,
+                            &mut batch,
                             &format!("kind={kind} shards={shards} step={step}"),
                         );
                         window.clear();
@@ -175,11 +159,9 @@ fn batch_matches_per_event_under_churn() {
                         if window.len() >= window_cap {
                             assert_batch_equals_per_event(
                                 &engine,
-                                &engine_scratches,
                                 &window,
                                 &mut scratch,
-                                &mut seq_batch,
-                                &mut par_batch,
+                                &mut batch,
                                 &format!("kind={kind} shards={shards} step={step}"),
                             );
                             window.clear();
@@ -193,11 +175,9 @@ fn batch_matches_per_event_under_churn() {
             }
             assert_batch_equals_per_event(
                 &engine,
-                &engine_scratches,
                 &window,
                 &mut scratch,
-                &mut seq_batch,
-                &mut par_batch,
+                &mut batch,
                 &format!("kind={kind} shards={shards} final"),
             );
         }

@@ -199,11 +199,6 @@ fn write_locked_shard_does_not_block_matching_on_other_shards() {
                 release: release.clone(),
             }),
         ])
-        // The probe event matches nothing, so content-aware pruning
-        // would (correctly) skip shard 0 without entering `phase1` —
-        // but this test instruments lock acquisition *inside* the
-        // engine, so it needs the walk to reach it.
-        .shard_pruning(false)
         .build();
 
     // Least-loaded placement (round-robin from empty): subscription 0
@@ -224,9 +219,11 @@ fn write_locked_shard_does_not_block_matching_on_other_shards() {
 
         // Shard 1 is now write-locked. A publish must still match on
         // shard 0 (it will then queue on shard 1 until the release).
+        // The probe event carries shard 0's resident conjunct, so the
+        // synopsis admits shard 0 and the walk reaches its engine.
         let publisher = {
             let broker = broker.clone();
-            scope.spawn(move || broker.publish(Event::builder().attr("n", 1_i64).build()))
+            scope.spawn(move || broker.publish(Event::builder().attr("warmup", 0_i64).build()))
         };
 
         assert!(
