@@ -1,15 +1,30 @@
 //! The predicate → subscription association table.
 
-use std::collections::HashMap;
-
 use crate::PredicateId;
 
-/// Lists at least this long move to the geometric-growth spill map.
+/// Lists at least this long move to the geometric-growth spill tier.
 const LARGE_THRESHOLD: usize = 64;
+
+/// One dense slot of an [`AssocTable`]: the list itself, or where it
+/// spilled to. Both variants fit the 16 bytes of a bare `Box<[T]>`
+/// (the spill index sits beside the box's non-null pointer niche).
+#[derive(Debug, Clone)]
+enum Slot<T> {
+    /// Exact-fit list.
+    Small(Box<[T]>),
+    /// Index of the list in [`AssocTable::large`].
+    Spilled(u32),
+}
+
+impl<T> Slot<T> {
+    fn empty() -> Self {
+        Slot::Small(Vec::new().into_boxed_slice())
+    }
+}
 
 /// The association table of paper Fig. 2: maps each predicate id to the
 /// list of subscriptions (or DNF conjuncts, for the counting engines)
-/// containing it.
+/// indexed under it.
 ///
 /// Storage follows the paper's footnote 2 ("we use arrays instead of a
 /// subscription list"): the common case — short lists; exactly one
@@ -17,22 +32,27 @@ const LARGE_THRESHOLD: usize = 64;
 /// boxed slice** (16 bytes of slot + 4 bytes per entry, no growth
 /// slack, no allocator header bookkeeping in our accounting). Lists
 /// that grow past [`LARGE_THRESHOLD`] (heavily shared predicates)
-/// spill into a side map with ordinary amortized `Vec` growth, so
-/// popular predicates never pay quadratic append cost.
-#[derive(Debug, Clone, Default)]
+/// spill into a side vector with ordinary amortized `Vec` growth, so
+/// popular predicates never pay quadratic append cost. The dense slot
+/// of a spilled list records its position there, so [`get`] never
+/// hashes: it is one indexed load, plus a second for spilled lists.
+///
+/// [`get`]: AssocTable::get
+#[derive(Debug, Clone)]
 pub(crate) struct AssocTable<T> {
-    /// Dense by predicate index; exact-fit lists.
-    small: Vec<Box<[T]>>,
-    /// Spill storage for long lists, keyed by predicate index.
-    large: HashMap<u32, Vec<T>>,
+    /// Dense by predicate index.
+    slots: Vec<Slot<T>>,
+    /// Spill storage for long lists. A spilled slot stays spilled (its
+    /// list may shrink to empty) and keeps its entry here.
+    large: Vec<Vec<T>>,
     postings: usize,
 }
 
 impl<T: Copy + PartialEq> AssocTable<T> {
     pub(crate) fn new() -> Self {
         AssocTable {
-            small: Vec::new(),
-            large: HashMap::new(),
+            slots: Vec::new(),
+            large: Vec::new(),
             postings: 0,
         }
     }
@@ -40,48 +60,51 @@ impl<T: Copy + PartialEq> AssocTable<T> {
     /// Appends `entry` to the list of `pred`.
     pub(crate) fn add(&mut self, pred: PredicateId, entry: T) {
         let idx = pred.index();
-        if idx >= self.small.len() {
-            self.small
-                .resize_with(idx + 1, || Vec::new().into_boxed_slice());
+        if idx >= self.slots.len() {
+            self.slots.resize_with(idx + 1, Slot::empty);
         }
         self.postings += 1;
 
-        if let Some(list) = self.large.get_mut(&(idx as u32)) {
-            list.push(entry);
-            return;
-        }
-        let current = &self.small[idx];
+        let current = match &self.slots[idx] {
+            Slot::Spilled(spill) => {
+                self.large[*spill as usize].push(entry);
+                return;
+            }
+            Slot::Small(current) => current,
+        };
         if current.len() + 1 >= LARGE_THRESHOLD {
-            // Promote to the spill map; the slot keeps an empty box.
+            // Promote to the spill tier.
             let mut list = Vec::with_capacity(current.len() * 2);
             list.extend_from_slice(current);
             list.push(entry);
-            self.small[idx] = Vec::new().into_boxed_slice();
-            self.large.insert(idx as u32, list);
+            // At most one spilled list per predicate id, and ids are u32.
+            self.slots[idx] = Slot::Spilled(self.large.len() as u32);
+            self.large.push(list);
             return;
         }
         // Exact-fit rebuild: short lists only, so this stays cheap.
         let mut grown = Vec::with_capacity(current.len() + 1);
         grown.extend_from_slice(current);
         grown.push(entry);
-        self.small[idx] = grown.into_boxed_slice();
+        self.slots[idx] = Slot::Small(grown.into_boxed_slice());
     }
 
     /// Removes one occurrence of `entry` from the list of `pred`;
     /// returns whether it was found. Order within a list is not
     /// preserved.
     pub(crate) fn remove(&mut self, pred: PredicateId, entry: T) -> bool {
-        let idx = pred.index();
-        if let Some(list) = self.large.get_mut(&(idx as u32)) {
-            let Some(pos) = list.iter().position(|e| *e == entry) else {
-                return false;
-            };
-            list.swap_remove(pos);
-            self.postings -= 1;
-            return true;
-        }
-        let Some(current) = self.small.get(idx) else {
-            return false;
+        let current = match self.slots.get(pred.index()) {
+            None => return false,
+            Some(Slot::Spilled(spill)) => {
+                let list = &mut self.large[*spill as usize];
+                let Some(pos) = list.iter().position(|e| *e == entry) else {
+                    return false;
+                };
+                list.swap_remove(pos);
+                self.postings -= 1;
+                return true;
+            }
+            Some(Slot::Small(current)) => current,
         };
         let Some(pos) = current.iter().position(|e| *e == entry) else {
             return false;
@@ -89,7 +112,7 @@ impl<T: Copy + PartialEq> AssocTable<T> {
         let mut shrunk = Vec::with_capacity(current.len() - 1);
         shrunk.extend_from_slice(&current[..pos]);
         shrunk.extend_from_slice(&current[pos + 1..]);
-        self.small[idx] = shrunk.into_boxed_slice();
+        self.slots[pred.index()] = Slot::Small(shrunk.into_boxed_slice());
         self.postings -= 1;
         true
     }
@@ -98,21 +121,22 @@ impl<T: Copy + PartialEq> AssocTable<T> {
     /// returns how many were removed. Used by counting unsubscription,
     /// where one original subscription owns many entries per predicate.
     pub(crate) fn remove_matching(&mut self, pred: PredicateId, f: impl Fn(&T) -> bool) -> usize {
-        let idx = pred.index();
-        if let Some(list) = self.large.get_mut(&(idx as u32)) {
-            let before = list.len();
-            list.retain(|e| !f(e));
-            let removed = before - list.len();
-            self.postings -= removed;
-            return removed;
-        }
-        let Some(current) = self.small.get(idx) else {
-            return 0;
+        let current = match self.slots.get(pred.index()) {
+            None => return 0,
+            Some(Slot::Spilled(spill)) => {
+                let list = &mut self.large[*spill as usize];
+                let before = list.len();
+                list.retain(|e| !f(e));
+                let removed = before - list.len();
+                self.postings -= removed;
+                return removed;
+            }
+            Some(Slot::Small(current)) => current,
         };
         let kept: Vec<T> = current.iter().copied().filter(|e| !f(e)).collect();
         let removed = current.len() - kept.len();
         if removed > 0 {
-            self.small[idx] = kept.into_boxed_slice();
+            self.slots[pred.index()] = Slot::Small(kept.into_boxed_slice());
             self.postings -= removed;
         }
         removed
@@ -120,11 +144,11 @@ impl<T: Copy + PartialEq> AssocTable<T> {
 
     /// The entries associated with `pred` (empty slice when none).
     pub(crate) fn get(&self, pred: PredicateId) -> &[T] {
-        let idx = pred.index();
-        if let Some(list) = self.large.get(&(idx as u32)) {
-            return list;
+        match self.slots.get(pred.index()) {
+            Some(Slot::Small(list)) => list,
+            Some(Slot::Spilled(spill)) => self.large.get(*spill as usize).map_or(&[], |l| l),
+            None => &[],
         }
-        self.small.get(idx).map_or(&[], |b| &b[..])
     }
 
     /// Total number of postings across all lists.
@@ -135,14 +159,22 @@ impl<T: Copy + PartialEq> AssocTable<T> {
     /// Approximate heap bytes.
     pub(crate) fn heap_bytes(&self) -> usize {
         let entry = std::mem::size_of::<T>();
-        let small_slots = self.small.capacity() * std::mem::size_of::<Box<[T]>>();
-        let small_entries: usize = self.small.iter().map(|b| b.len() * entry).sum();
-        let large: usize = self
-            .large
-            .values()
-            .map(|v| v.capacity() * entry + std::mem::size_of::<Vec<T>>() + 8)
+        let slots = self.slots.capacity() * std::mem::size_of::<Slot<T>>();
+        let small_entries: usize = self
+            .slots
+            .iter()
+            .map(|s| match s {
+                Slot::Small(list) => list.len() * entry,
+                Slot::Spilled(_) => 0,
+            })
             .sum();
-        small_slots + small_entries + large
+        let large = self.large.capacity() * std::mem::size_of::<Vec<T>>()
+            + self
+                .large
+                .iter()
+                .map(|l| l.capacity() * entry)
+                .sum::<usize>();
+        slots + small_entries + large
     }
 }
 
@@ -221,6 +253,35 @@ mod tests {
         assert_eq!(t.get(pid(1)).len(), 150);
         assert_eq!(t.posting_count(), 5 + 150);
         assert_eq!(t.remove_matching(pid(2), |_| true), 0);
+    }
+
+    #[test]
+    fn spilled_lists_are_found_without_hashing() {
+        let mut t: AssocTable<u32> = AssocTable::new();
+        // Two spilled lists and one short one, interleaved.
+        for i in 0..LARGE_THRESHOLD as u32 * 2 {
+            t.add(pid(2), i);
+            t.add(pid(9), 1_000 + i);
+        }
+        t.add(pid(5), 7);
+        assert!(matches!(t.slots[2], Slot::Spilled(0)));
+        assert!(matches!(t.slots[9], Slot::Spilled(1)));
+        assert!(t.get(pid(2)).iter().all(|&e| e < 1_000));
+        assert!(t.get(pid(9)).iter().all(|&e| e >= 1_000));
+        assert_eq!(t.get(pid(5)), &[7]);
+        // A spilled list emptied by removal stays spilled and empty.
+        assert_eq!(t.remove_matching(pid(2), |_| true), LARGE_THRESHOLD * 2);
+        assert_eq!(t.get(pid(2)), &[] as &[u32]);
+        t.add(pid(2), 3);
+        assert_eq!(t.get(pid(2)), &[3]);
+    }
+
+    #[test]
+    fn a_slot_is_as_small_as_a_boxed_slice() {
+        assert_eq!(
+            std::mem::size_of::<Slot<u32>>(),
+            std::mem::size_of::<Box<[u32]>>()
+        );
     }
 
     #[test]

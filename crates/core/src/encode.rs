@@ -309,6 +309,100 @@ pub(crate) fn for_each_encoded_leaf(bytes: &[u8], f: &mut impl FnMut(PredicateId
     }
 }
 
+/// Appends the **access set** of an encoded tree to `out` and returns
+/// whether the tree has one. An access set is a set of predicates at
+/// least one of which is fulfilled whenever the tree is true, so a
+/// subscription indexed under its access set only is still a candidate
+/// for every event it matches (Fabret et al., SIGMOD 2001, call these
+/// access predicates):
+///
+/// * a leaf's set is the leaf itself; `NOT` has none;
+/// * `OR` takes the union of its children's sets, and has none if any
+///   child has none;
+/// * `AND` takes the child set with the fewest predicate leaves; ties
+///   go to the set with more `=` leaves (as `is_eq` reports them), then
+///   to the first such child. It has none only if no child has one.
+///
+/// The walk reads the bytes in place: chunked nodes (more than 255
+/// children) are walked as encoded, so subscribe and unsubscribe, both
+/// walking the stored bytes, always agree. `out` may receive duplicate
+/// ids (a predicate occurring twice in the chosen set). A tree without
+/// an access set leaves `out` as it was. Malformed bytes count as
+/// having no access set rather than panicking.
+pub(crate) fn access_set(
+    bytes: &[u8],
+    is_eq: &impl Fn(PredicateId) -> bool,
+    out: &mut Vec<PredicateId>,
+) -> bool {
+    access_node(bytes, 0, is_eq, out).is_some()
+}
+
+/// The access set of the node at `offset`, appended to `out`; returns
+/// its count of `=` leaves, or `None` (with `out` unchanged) when the
+/// node has no access set.
+fn access_node(
+    bytes: &[u8],
+    offset: usize,
+    is_eq: &impl Fn(PredicateId) -> bool,
+    out: &mut Vec<PredicateId>,
+) -> Option<usize> {
+    let tag = *bytes.get(offset)?;
+    if tag == TAG_PRED {
+        let raw = bytes.get(offset + 1..offset + 5)?;
+        let id = PredicateId::from_raw(u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]));
+        out.push(id);
+        return Some(usize::from(is_eq(id)));
+    }
+    if tag != TAG_AND && tag != TAG_OR {
+        return None;
+    }
+    let n = usize::from(*bytes.get(offset + 1)?);
+    let widths_at = offset + 2;
+    let mut child_at = widths_at + 2 * n;
+    let start = out.len();
+    // OR: the summed `=` count of the union so far. AND: the best child
+    // set so far, kept at `out[start..]`, as (leaves, `=` leaves).
+    let mut union_eqs = 0;
+    let mut best: Option<(usize, usize)> = None;
+    for i in 0..n {
+        let Some(w) = bytes.get(widths_at + 2 * i..widths_at + 2 * i + 2) else {
+            out.truncate(start);
+            return None;
+        };
+        let child_start = out.len();
+        let child = access_node(bytes, child_at, is_eq, out);
+        child_at += usize::from(u16::from_le_bytes([w[0], w[1]]));
+        match (tag, child) {
+            (TAG_OR, Some(eqs)) => union_eqs += eqs,
+            (TAG_OR, None) => {
+                out.truncate(start);
+                return None;
+            }
+            (_, None) => {}
+            (_, Some(eqs)) => {
+                let len = out.len() - child_start;
+                match best {
+                    Some((best_len, best_eqs))
+                        if best_len < len || (best_len == len && best_eqs >= eqs) =>
+                    {
+                        out.truncate(child_start);
+                    }
+                    _ => {
+                        out.copy_within(child_start.., start);
+                        out.truncate(start + len);
+                        best = Some((len, eqs));
+                    }
+                }
+            }
+        }
+    }
+    if tag == TAG_OR {
+        Some(union_eqs)
+    } else {
+        best.map(|(_, eqs)| eqs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,6 +509,60 @@ mod tests {
         tree.for_each_leaf(&mut |id| from_tree.push(id.index()));
         assert_eq!(from_bytes, from_tree);
         assert_eq!(from_bytes, vec![5, 6, 5, 7]);
+    }
+
+    fn access(tree: &IdExpr, eqs: &[usize]) -> Option<Vec<usize>> {
+        let bytes = encode(tree).unwrap();
+        let mut out = vec![PredicateId::from_index(77)];
+        let found = access_set(&bytes, &|id| eqs.contains(&id.index()), &mut out);
+        assert_eq!(out[0].index(), 77, "earlier entries are kept");
+        let set: Vec<usize> = out[1..].iter().map(|id| id.index()).collect();
+        if !found {
+            assert!(set.is_empty(), "no access set leaves `out` unchanged");
+        }
+        found.then_some(set)
+    }
+
+    fn not(t: IdExpr) -> IdExpr {
+        IdExpr::Not(Box::new(t))
+    }
+
+    #[test]
+    fn access_sets_follow_the_definition() {
+        assert_eq!(access(&p(3), &[]), Some(vec![3]));
+        assert_eq!(access(&not(p(3)), &[]), None);
+        assert_eq!(access(&IdExpr::Or(vec![p(0), not(p(1))]), &[]), None);
+        assert_eq!(access(&IdExpr::Or(vec![p(0), p(1)]), &[]), Some(vec![0, 1]));
+        assert_eq!(access(&IdExpr::And(vec![not(p(0)), not(p(1))]), &[]), None);
+        // AND: the smallest child set; a child without one is skipped.
+        let tree = IdExpr::And(vec![IdExpr::Or(vec![p(0), p(1)]), not(p(2)), p(3)]);
+        assert_eq!(access(&tree, &[]), Some(vec![3]));
+        let tree = IdExpr::And(vec![not(p(0)), IdExpr::Or(vec![p(1), p(2)])]);
+        assert_eq!(access(&tree, &[]), Some(vec![1, 2]));
+        // Ties: more `=` leaves first, then the first child.
+        assert_eq!(access(&IdExpr::And(vec![p(0), p(1)]), &[]), Some(vec![0]));
+        assert_eq!(access(&IdExpr::And(vec![p(0), p(1)]), &[1]), Some(vec![1]));
+        let tree = IdExpr::And(vec![
+            IdExpr::Or(vec![p(0), p(1)]),
+            IdExpr::Or(vec![p(2), p(3)]),
+        ]);
+        assert_eq!(access(&tree, &[3]), Some(vec![2, 3]));
+        // A repeated leaf stays repeated; callers deduplicate.
+        let tree = IdExpr::Or(vec![p(1), IdExpr::And(vec![p(1), p(2)])]);
+        assert_eq!(access(&tree, &[]), Some(vec![1, 1]));
+    }
+
+    #[test]
+    fn access_sets_walk_chunked_nodes_as_encoded() {
+        // 300 AND leaves encode as AND(AND(255), AND(45)); the only `=`
+        // leaf sits in the second chunk and still wins the tie.
+        let tree = IdExpr::And((0..300).map(p).collect());
+        assert_eq!(access(&tree, &[280]), Some(vec![280]));
+        let tree = IdExpr::Or((0..300).map(p).collect());
+        assert_eq!(access(&tree, &[]), Some((0..300).collect()));
+        let mut leaves: Vec<IdExpr> = (0..299).map(p).collect();
+        leaves.push(not(p(299)));
+        assert_eq!(access(&IdExpr::Or(leaves), &[]), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The non-canonical filtering engine — the paper's contribution (§3).
 
-use boolmatch_expr::{transform, Expr};
+use boolmatch_expr::{transform, CompareOp, Expr};
 use boolmatch_index::PredicateIndex;
 use boolmatch_types::Event;
 
@@ -50,6 +50,16 @@ impl Default for NonCanonicalConfig {
 /// association table, the subscription location table, and the
 /// byte-encoded subscription trees themselves.
 ///
+/// Unlike the paper, which lists a subscription under every predicate
+/// it contains, the association table lists it only under its **access
+/// set**: predicates at least one of which holds whenever the
+/// subscription does. A leaf's set is itself; an `OR` takes the union
+/// of its children's sets; an `AND` takes its smallest child set
+/// (ties: more `=` predicates, then the first child); `NOT` has none,
+/// nor has an `OR` with a child without one. A subscription without an
+/// access set (one under a top-level negation, say) can be true with
+/// no predicate fulfilled, so phase 2 evaluates it on every event.
+///
 /// # Examples
 ///
 /// ```
@@ -71,8 +81,12 @@ pub struct NonCanonicalEngine {
     config: NonCanonicalConfig,
     interner: PredicateInterner,
     index: PredicateIndex<PredicateId>,
-    /// Predicate → subscriptions containing it (dense u32 sub indexes).
+    /// Predicate → subscriptions with it in their access set (dense
+    /// u32 sub indexes).
     assoc: AssocTable<u32>,
+    /// Live subscriptions without an access set: candidates on every
+    /// event. Disjoint from the association table's entries.
+    always: Vec<u32>,
     /// Subscription location table: dense sub index → tree location.
     /// The [`Loc::empty`] sentinel marks unsubscribed ids (never
     /// reused); a plain `Loc` per slot is 8 bytes where `Option<Loc>`
@@ -101,6 +115,7 @@ impl NonCanonicalEngine {
             interner: PredicateInterner::new(),
             index: PredicateIndex::new(),
             assoc: AssocTable::new(),
+            always: Vec::new(),
             locations: Vec::new(),
             arena: TreeArena::new(),
             live_subs: 0,
@@ -124,6 +139,19 @@ impl NonCanonicalEngine {
             Expr::Or(cs) => IdExpr::Or(cs.iter().map(|c| self.compile(c, acquired)).collect()),
             Expr::Not(c) => IdExpr::Not(Box::new(self.compile(c, acquired))),
         }
+    }
+
+    /// The access set of an encoded tree, deduplicated, in `out`;
+    /// `false` when it has none. The one definition behind both
+    /// `subscribe` and `unsubscribe`, which therefore add and remove the
+    /// same postings.
+    fn access_set(&self, bytes: &[u8], out: &mut Vec<PredicateId>) -> bool {
+        out.clear();
+        let is_eq = |id| self.interner.resolve(id).op() == CompareOp::Eq;
+        let found = encode::access_set(bytes, &is_eq, out);
+        out.sort_unstable();
+        out.dedup();
+        found
     }
 
     fn release_predicate(&mut self, id: PredicateId) {
@@ -157,7 +185,7 @@ impl NonCanonicalEngine {
     }
 
     /// Total entries in the predicate→subscription association table —
-    /// one per distinct predicate per subscription.
+    /// one per distinct access-set predicate per subscription.
     pub fn association_postings(&self) -> usize {
         self.assoc.posting_count()
     }
@@ -199,13 +227,15 @@ impl FilterEngine for NonCanonicalEngine {
         self.locations.push(loc);
         self.live_subs += 1;
 
-        // One association entry per *distinct* predicate of the
-        // subscription (a predicate occurring twice in the tree must
-        // not make the subscription a candidate twice).
-        acquired.sort_unstable();
-        acquired.dedup();
-        for pid in acquired {
-            self.assoc.add(pid, sub_u32);
+        // One association entry per *distinct* access-set predicate (a
+        // predicate occurring twice must not make the subscription a
+        // candidate twice). `acquired` is done with; reuse it.
+        if self.access_set(&bytes, &mut acquired) {
+            for &pid in &acquired {
+                self.assoc.add(pid, sub_u32);
+            }
+        } else {
+            self.always.push(sub_u32);
         }
         Ok(SubscriptionId::from_index(sub_index))
     }
@@ -223,17 +253,25 @@ impl FilterEngine for NonCanonicalEngine {
         // The tree itself is the record of which predicates to release —
         // this is why the paper stores subscriptions explicitly (§3.2,
         // footnote 1).
+        let bytes = self.arena.get(loc);
         let mut leaves = Vec::new();
-        encode::for_each_encoded_leaf(self.arena.get(loc), &mut |pid| leaves.push(pid));
+        encode::for_each_encoded_leaf(bytes, &mut |pid| leaves.push(pid));
+        let mut access = Vec::new();
+        let indexed = self.access_set(bytes, &mut access);
         self.arena.remove(loc);
 
         let sub_u32 = u32::try_from(id.index()).expect("issued ids fit u32");
-        let mut unique = leaves.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        for pid in unique {
-            let removed = self.assoc.remove(pid, sub_u32);
-            debug_assert!(removed, "association entry missing for {pid}");
+        if indexed {
+            for pid in access {
+                let removed = self.assoc.remove(pid, sub_u32);
+                debug_assert!(removed, "association entry missing for {pid}");
+            }
+        } else {
+            let pos = self.always.iter().position(|&s| s == sub_u32);
+            debug_assert!(pos.is_some(), "always-evaluate entry missing for {id:?}");
+            if let Some(pos) = pos {
+                self.always.swap_remove(pos);
+            }
         }
         for pid in leaves {
             self.release_predicate(pid);
@@ -260,11 +298,13 @@ impl FilterEngine for NonCanonicalEngine {
         };
 
         // Candidate collection with generation-stamped deduplication,
-        // in the caller's scratch.
+        // in the caller's scratch. Subscriptions without an access set
+        // have no postings, so they need no stamp.
         let gen = scratch.begin_stamps(self.locations.len());
 
         let mut candidates = std::mem::take(&mut scratch.candidates);
         candidates.clear();
+        candidates.extend_from_slice(&self.always);
         for &pid in fulfilled.ids() {
             for &sub in self.assoc.get(pid) {
                 let stamp = &mut scratch.stamps[sub as usize];
@@ -301,10 +341,11 @@ impl FilterEngine for NonCanonicalEngine {
     /// association table is walked **once** — a stamped union of the
     /// lanes' fulfilled predicates carries a lane bitmask per distinct
     /// predicate, so each association posting is read once and fans out
-    /// to every lane fulfilling the predicate. Candidate trees are then
-    /// evaluated per lane against that lane's own fulfilled set, exactly
-    /// as in the scalar phase 2. Chunks with a single live event
-    /// delegate to the scalar path.
+    /// to every lane fulfilling the predicate; every live lane also
+    /// takes the subscriptions without an access set. Candidate trees
+    /// are then evaluated per lane against that lane's own fulfilled
+    /// set, exactly as in the scalar phase 2. Chunks with a single live
+    /// event delegate to the scalar path.
     fn match_batch(
         &self,
         events: &[Arc<Event>],
@@ -356,6 +397,7 @@ impl FilterEngine for NonCanonicalEngine {
                 }
                 self.phase1(&events[base + l], &mut batch.fulfilled[l]);
                 stats.fulfilled += batch.fulfilled[l].len();
+                batch.candidates[l].extend_from_slice(&self.always);
                 for &pid in batch.fulfilled[l].ids() {
                     let p = pid.index();
                     if batch.pred_stamps[p] != gen {
@@ -445,7 +487,8 @@ impl FilterEngine for NonCanonicalEngine {
         MemoryUsage {
             predicates: self.interner.heap_bytes(),
             phase1_index: self.index.heap_bytes(),
-            association: self.assoc.heap_bytes(),
+            association: self.assoc.heap_bytes()
+                + self.always.capacity() * std::mem::size_of::<u32>(),
             locations: self.locations.capacity() * std::mem::size_of::<Loc>(),
             trees: self.arena.heap_bytes(),
             vectors: 0,
@@ -767,6 +810,204 @@ mod tests {
         assert!(grown.trees > 0);
         assert!(grown.association > 0);
         assert!(grown.phase2_bytes() < grown.total());
+    }
+
+    /// Subscriptions that are true when none of their predicates holds.
+    const NEGATIONS: [&str; 3] = [
+        "not (a = 1)",
+        "not (a = 1) or b = 2",
+        "not (a = 1 and b = 2)",
+    ];
+
+    fn negation_events() -> Vec<Event> {
+        vec![
+            Event::builder().attr("c", 5_i64).build(),
+            Event::builder().attr("a", 3_i64).build(),
+            Event::builder().attr("a", 1_i64).build(),
+            Event::builder().attr("a", 1_i64).attr("b", 2_i64).build(),
+        ]
+    }
+
+    fn expected(exprs: &[Expr], event: &Event) -> Vec<SubscriptionId> {
+        (0..exprs.len())
+            .filter(|&i| exprs[i].eval_event(event))
+            .map(SubscriptionId::from_index)
+            .collect()
+    }
+
+    #[test]
+    fn negations_match_without_any_fulfilled_predicate() {
+        let (mut e, ids) = engine_with(&NEGATIONS);
+        let exprs: Vec<Expr> = NEGATIONS.iter().map(|s| Expr::parse(s).unwrap()).collect();
+        // No `a` at all, and `a = 3`: every subscription holds.
+        for ev in &negation_events()[..2] {
+            let mut got = e.match_event(ev).matched;
+            got.sort();
+            assert_eq!(got, ids, "on {ev}");
+        }
+        for ev in &negation_events() {
+            let mut got = e.match_event(ev).matched;
+            got.sort();
+            assert_eq!(got, expected(&exprs, ev), "on {ev}");
+        }
+        assert_eq!(e.engine().always.len(), NEGATIONS.len());
+        for id in ids {
+            e.unsubscribe(id).unwrap();
+        }
+        assert!(e.engine().always.is_empty());
+    }
+
+    #[test]
+    fn batch_matches_negations_across_a_lane_chunk() {
+        let (e, _) = engine_with(&NEGATIONS);
+        let exprs: Vec<Expr> = NEGATIONS.iter().map(|s| Expr::parse(s).unwrap()).collect();
+        let kinds = negation_events();
+        let events: Vec<Arc<Event>> = (0..LANE_WIDTH + 6)
+            .map(|i| Arc::new(kinds[i % kinds.len()].clone()))
+            .collect();
+        // Skipped lanes must not pick up the always-evaluated ones.
+        let skip: Vec<bool> = (0..events.len()).map(|i| i % 7 == 3).collect();
+        let mut batch = BatchScratch::new();
+        let stats = e.engine().match_batch(&events, &skip, &mut batch);
+        assert_eq!(stats.batch_events, skip.iter().filter(|s| !**s).count());
+        for (i, ev) in events.iter().enumerate() {
+            let mut got = batch.matched(i).to_vec();
+            got.sort();
+            let want = if skip[i] {
+                Vec::new()
+            } else {
+                expected(&exprs, ev)
+            };
+            assert_eq!(got, want, "event {i}: {ev}");
+        }
+    }
+
+    /// SplitMix64: a tiny seeded generator for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    const ATTRS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+    fn random_pred(rng: &mut Rng) -> Expr {
+        let ops = [CompareOp::Eq, CompareOp::Ne, CompareOp::Lt, CompareOp::Ge];
+        let attr = ATTRS[rng.below(ATTRS.len())];
+        let op = ops[rng.below(ops.len())];
+        Expr::pred(boolmatch_expr::Predicate::new(
+            attr,
+            op,
+            rng.below(4) as i64,
+        ))
+    }
+
+    fn random_tree(rng: &mut Rng, depth: usize) -> Expr {
+        if depth == 0 || rng.below(3) == 0 {
+            return random_pred(rng);
+        }
+        match rng.below(5) {
+            0 => !random_tree(rng, depth - 1),
+            op => {
+                let children = (0..2 + rng.below(3))
+                    .map(|_| random_tree(rng, depth - 1))
+                    .collect();
+                if op % 2 == 0 {
+                    Expr::and(children)
+                } else {
+                    Expr::or(children)
+                }
+            }
+        }
+    }
+
+    /// Nodes wider than the 255 children one encoded node holds.
+    fn wide_tree(rng: &mut Rng) -> Expr {
+        let mut children: Vec<Expr> = (0..300).map(|_| random_pred(rng)).collect();
+        if rng.below(2) == 0 {
+            Expr::or(children)
+        } else {
+            // Mostly always-true children, so the conjunction can match.
+            for c in children.iter_mut().take(297) {
+                *c = !Expr::pred(boolmatch_expr::Predicate::new("a", CompareOp::Eq, 9_i64));
+            }
+            children.rotate_left(rng.below(300));
+            Expr::and(children)
+        }
+    }
+
+    fn random_event(rng: &mut Rng) -> Event {
+        let mut b = Event::builder();
+        for attr in ATTRS {
+            if rng.below(3) != 0 {
+                b = b.attr(attr, rng.below(4) as i64);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn access_sets_agree_with_direct_evaluation_under_churn() {
+        for (seed, reorder_trees) in [(1, false), (2, false), (3, true), (4, false)] {
+            let mut rng = Rng(seed);
+            let mut e = NonCanonicalEngine::with_config(NonCanonicalConfig {
+                reorder_trees,
+                ..NonCanonicalConfig::default()
+            });
+            let mut live: Vec<(SubscriptionId, Expr)> = Vec::new();
+            let mut scratch = MatchScratch::new();
+            let mut batch = BatchScratch::new();
+            for step in 0..400 {
+                if !live.is_empty() && rng.below(10) < 3 {
+                    let (id, _) = live.swap_remove(rng.below(live.len()));
+                    e.unsubscribe(id).unwrap();
+                } else {
+                    let expr = if rng.below(40) == 0 {
+                        wide_tree(&mut rng)
+                    } else {
+                        random_tree(&mut rng, 4)
+                    };
+                    live.push((e.subscribe(&expr).unwrap(), expr));
+                }
+                if step % 25 != 24 {
+                    continue;
+                }
+                let events: Vec<Arc<Event>> = (0..1 + rng.below(LANE_WIDTH + 10))
+                    .map(|_| Arc::new(random_event(&mut rng)))
+                    .collect();
+                e.match_batch(&events, &[], &mut batch);
+                for (i, ev) in events.iter().enumerate() {
+                    let mut want: Vec<SubscriptionId> = live
+                        .iter()
+                        .filter(|(_, x)| x.eval_event(ev))
+                        .map(|(id, _)| *id)
+                        .collect();
+                    want.sort();
+                    let mut got = e.match_event(ev, &mut scratch).matched.clone();
+                    got.sort();
+                    assert_eq!(got, want, "seed {seed} step {step} per-event on {ev}");
+                    let mut got = batch.matched(i).to_vec();
+                    got.sort();
+                    assert_eq!(got, want, "seed {seed} step {step} batch lane {i}");
+                }
+            }
+            for (id, _) in live.drain(..) {
+                e.unsubscribe(id).unwrap();
+            }
+            assert_eq!(e.association_postings(), 0, "seed {seed}");
+            assert!(e.always.is_empty(), "seed {seed}");
+            assert_eq!(e.predicate_count(), 0, "seed {seed}");
+        }
     }
 
     #[test]

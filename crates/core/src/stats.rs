@@ -14,7 +14,11 @@ use std::ops::Add;
 pub struct MatchStats {
     /// Fulfilled predicates (phase-1 output size).
     pub fulfilled: usize,
-    /// Candidate subscriptions / conjunctions touched in phase 2.
+    /// Candidate subscriptions / conjunctions touched in phase 2. For
+    /// the non-canonical engine these are *access-set* candidates: the
+    /// subscriptions listed under a fulfilled predicate of their access
+    /// set, plus those without an access set, which are candidates on
+    /// every event.
     pub candidates: usize,
     /// Boolean tree evaluations (non-canonical engine).
     pub evaluations: usize,

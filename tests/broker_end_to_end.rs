@@ -126,3 +126,59 @@ fn subscription_handles_work_across_threads() {
     assert_eq!(got.get("go"), Some(&true.into()));
     assert_eq!(t.join().unwrap(), 1);
 }
+
+#[test]
+fn negations_are_delivered_without_any_fulfilled_predicate() {
+    // Each subscription holds on an event lacking `a` and on `a = 3`,
+    // though neither fulfils any of its predicates; the shard synopsis
+    // admits them as always-candidates and the engine must evaluate them.
+    let texts = [
+        "not (a = 1)",
+        "not (a = 1) or b = 2",
+        "not (a = 1 and b = 2)",
+        "a = 3",
+        "c = 5 and b = 2",
+    ];
+    let exprs: Vec<Expr> = texts.iter().map(|t| Expr::parse(t).unwrap()).collect();
+    let events = vec![
+        Event::builder().attr("c", 5_i64).build(),
+        Event::builder().attr("a", 3_i64).build(),
+        Event::builder().attr("a", 1_i64).build(),
+        Event::builder().attr("a", 1_i64).attr("b", 2_i64).build(),
+    ];
+    for shards in [1, 4] {
+        let broker = Broker::builder()
+            .engine(EngineKind::NonCanonical)
+            .shards(shards)
+            .build();
+        let subs: Vec<Subscription> = exprs
+            .iter()
+            .map(|e| broker.subscribe_expr(e).unwrap())
+            .collect();
+        let mut want = vec![0; exprs.len()];
+        for ev in &events {
+            let expected: Vec<usize> = (0..exprs.len())
+                .filter(|&i| exprs[i].eval_event(ev))
+                .collect();
+            for &i in &expected {
+                want[i] += 2;
+            }
+            assert_eq!(
+                broker.publish(ev.clone()),
+                expected.len(),
+                "S={shards} on {ev}"
+            );
+        }
+        assert_eq!(
+            broker.publish_batch_events(&events),
+            want.iter().sum::<usize>() / 2,
+            "S={shards} batch"
+        );
+        let got: Vec<usize> = subs.iter().map(|s| s.drain().len()).collect();
+        assert_eq!(got, want, "S={shards} per-subscription deliveries");
+        assert!(
+            want[..3].iter().all(|&n| n >= 4),
+            "the negations match twice per path"
+        );
+    }
+}

@@ -2,7 +2,10 @@
 //!
 //! Semantics contract (DESIGN.md §6):
 //! * the non-canonical engine implements exact Boolean semantics —
-//!   `not` is full negation over the fulfilled set;
+//!   `not` is full negation over the fulfilled set, even when an event
+//!   fulfils no predicate of the subscription at all (`not (a = 1)`
+//!   matches an event without `a`: subscriptions without an access set
+//!   are evaluated on every event);
 //! * the canonical engines implement NNF semantics — `not` becomes
 //!   operator complementation, which differs exactly when an event
 //!   lacks the negated attribute (an inherent limitation of canonical
